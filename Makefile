@@ -1,6 +1,10 @@
 GO ?= go
 
-.PHONY: tier1 build vet test race bench chaos soak serve crash govern scenarios endurance cache lint
+# MODES are the misobench extension modes, each runnable at small scale
+# as `make <mode>`; CI runs the same modes by name.
+MODES := chaos crash serve benchexec benchgov scenarios cache endurance
+
+.PHONY: tier1 build vet test race bench soak govern lint $(MODES)
 
 # tier1 is the gate every change must pass: clean build, vet, the full
 # test suite under the race detector, and explicit runs of the
@@ -13,7 +17,8 @@ GO ?= go
 # regressions (self-healing repair, quarantine tombstones, audit
 # byte-identity, scrub-during-reorganize, scrub-during-recovery), and
 # the reuse-plane regressions (cache-hit digest identity, invalidation
-# edges, piggybacking, disabled byte-identity) — all race-enabled.
+# edges, piggybacking), and the idle-plane byte-identity table (hedge,
+# audit, reuse and governance switched on but idle) — all race-enabled.
 tier1:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -21,8 +26,8 @@ tier1:
 	$(GO) test -race -run 'TestServeSoak|TestServeMatchesSequentialRun|TestConcurrentWhatIfCostingDuringSoak|TestCancelFreesWorkersWithinBound|TestWorkerPanicIsolation|TestMetricsGovernanceCounters' -count 1 ./internal/serve/
 	$(GO) test -race -run 'TestBreakerHalfOpenContention|TestQuotaWeightedFairness|TestQuotaShedsAreTenantScoped|TestAdaptiveLimiter|TestOverloadPlaneDisabledIsNoOp' -count 1 ./internal/serve/
 	$(GO) test -race -run 'TestRecoverPerCrashSite|TestCleanShutdownByteIdentity|TestServeResumesOnRecoveredSystem|TestStateDigestIdenticalAcrossTuneWorkers|TestStateDigestIdenticalAcrossExecWorkers' -count 1 ./internal/multistore/
-	$(GO) test -race -run 'TestHedgeDigestIdentity|TestHedgeDisabledIsStrictNoOp|TestRetryBudgetCapsRecovery' -count 1 ./internal/multistore/
-	$(GO) test -race -run 'TestAuditRepairsCorruptView|TestQuarantineTombstoneBlocksCapture|TestEvictThenQuarantineNoLRURetention|TestAuditCleanRunByteIdentity' -count 1 ./internal/multistore/
+	$(GO) test -race -run 'TestHedgeDigestIdentity|TestIdlePlanesByteIdentical|TestRetryBudgetCapsRecovery' -count 1 ./internal/multistore/
+	$(GO) test -race -run 'TestAuditRepairsCorruptView|TestQuarantineTombstoneBlocksCapture|TestEvictThenQuarantineNoLRURetention' -count 1 ./internal/multistore/
 	$(GO) test -race -run 'TestScrubDuringReorganize|TestScrubDuringRecovery|TestBackgroundScrubberUnderLoad' -count 1 ./internal/audit/
 	$(GO) test -race -run 'TestReuse' -count 1 ./internal/multistore/
 	$(GO) test -race -run 'TestPlanHashZeroAlloc|TestFlightPiggyback|TestCacheHitMissAndDigestVerify' -count 1 ./internal/mqo/
@@ -42,52 +47,25 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs the reproducible benchmark pipelines — the tuner pipeline
-# (what-if costing at several worker counts against the in-repo
-# BaselineCosting path, the knapsack DP, a short serving soak) and the
-# exec pipeline (morsel engine vs the legacy serial engine, per operator
-# and end-to-end, digest-checked) — writing the machine-readable reports
-# CI uploads as artifacts, then the package micro-benchmarks.
+# bench runs the reproducible benchmark pipelines — the exec pipeline
+# (morsel engine vs the legacy serial engine, per operator and
+# end-to-end, digest-checked, with the columnar speedup gate) and the
+# governance pipeline — writing their reports (BENCH_exec.json,
+# BENCH_governance.json), then the package micro-benchmarks.
 bench:
-	$(GO) run ./cmd/misobench -bench -scale small -benchout BENCH_tuner.json
-	$(GO) run ./cmd/misobench -benchexec -scale small -benchexecout BENCH_exec.json
-	$(GO) run ./cmd/misobench -benchgov -scale small -benchgovout BENCH_governance.json
+	$(GO) run ./cmd/misobench -mode benchexec,benchgov -scale small
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./internal/multistore/
 
-chaos:
-	$(GO) run ./cmd/misobench -chaos -scale small
+# Each mode target runs one misobench mode at small scale: it prints the
+# result, writes the mode's artifact (if any) and exits nonzero when a
+# declared check fails. See `go run ./cmd/misobench -modes`.
+$(MODES):
+	$(GO) run ./cmd/misobench -mode $@ -scale small
+
+govern: benchgov
 
 soak:
 	$(GO) test -race -run 'TestServeSoak' -count 1 -v ./internal/serve/
-
-serve:
-	$(GO) run ./cmd/misobench -serve -scale small
-
-crash:
-	$(GO) run ./cmd/misobench -crash -scale small
-
-govern:
-	$(GO) run ./cmd/misobench -benchgov -scale small
-
-# endurance runs the long-horizon adversarial endurance harness:
-# closed-loop tenants with think time, bit-rot injection (SiteViewRot),
-# and the self-healing background scrubber, with acceptance checks
-# written to BENCH_endurance.json.
-endurance:
-	$(GO) run ./cmd/misobench -mode endurance -scale small
-
-# scenarios runs the multi-tenant overload scenario matrix (flash crowd,
-# Zipf skew, diurnal shift, drift burst, ETL storm, DW brownout) and
-# fails if any scenario misses its acceptance checks.
-scenarios:
-	$(GO) run ./cmd/misobench -scenarios -scale small
-
-# cache runs the cross-query reuse soak (semantic result cache +
-# shared-flight piggybacking vs cold execution) and fails unless reuse
-# wins >= 2x throughput with a nonzero hit rate and digest-identical
-# answers (BENCH_cache.json).
-cache:
-	$(GO) run ./cmd/misobench -mode cache -scale small
 
 # lint runs the static analyzers when they are installed; it skips them
 # with a note otherwise so offline checkouts still build.

@@ -1,32 +1,29 @@
 // Command misobench regenerates the tables and figures of the paper's
 // evaluation section plus the extension pipelines. Every experiment is a
-// named mode in one registry: -modes lists them, -mode runs any set of
-// them, and the legacy spelling flags (-fig, -table, -chaos, ...) remain
-// as shorthands for the same names.
+// named mode in one table: -modes lists them, -mode runs any set of them,
+// and -all runs every paper figure and table.
+//
+// Each mode prints its result; a mode with an artifact also writes its
+// JSON report to that file in the current directory. A mode that declares
+// checks prints them after its result and makes misobench exit 1 when one
+// fails.
 //
 // Usage:
 //
-//	misobench -modes                     # list every mode and its artifact
-//	misobench -mode fig4,scenarios       # run any modes by name
-//	misobench -fig 4                     # Figure 4 (five-variant TTI comparison)
-//	misobench -fig 3.2                   # the Section 3.2 two-query experiment
-//	misobench -table 2                   # Table 2 (mutual impact)
-//	misobench -all -scale small          # every paper figure/table, quickly
-//	misobench -chaos                     # fault-injection sweep (extension)
-//	misobench -crash                     # crash-recovery sweep (durability extension)
-//	misobench -serve -scale small -sessions 8 -workers 4    # concurrent soak
-//	misobench -bench -benchout BENCH_tuner.json             # benchmark pipeline
-//	misobench -benchexec -benchexecout BENCH_exec.json      # exec engine benchmarks
-//	misobench -benchgov -benchgovout BENCH_governance.json  # governance pipeline
-//	misobench -scenarios                 # overload scenario matrix -> BENCH_scenarios.json
-//	misobench -endurance                 # adversarial endurance harness -> BENCH_endurance.json
-//	misobench -mode cache -scale small   # cross-query reuse soak -> BENCH_cache.json
+//	misobench -modes                        # list every mode and its artifact
+//	misobench -mode fig4                    # Figure 4 (five-variant TTI comparison)
+//	misobench -mode fig3.2,table2           # any modes by name
+//	misobench -all -scale small             # every paper figure/table, quickly
+//	misobench -mode chaos -scale small      # fault-injection sweep (extension)
+//	misobench -mode benchexec -scale small  # exec engine benchmarks -> BENCH_exec.json
+//	misobench -mode endurance -scale small -endurancetenants 60 -endurancequeries 80 -endurancedur 90s
 //
 // Profiling: -cpuprofile and -memprofile write pprof profiles covering
 // whatever experiments the invocation runs (see README.md).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,60 +34,102 @@ import (
 	"time"
 
 	"miso/internal/experiments"
-	"miso/internal/workload"
 )
 
-// mode is one registered experiment: a stable name, what it produces, and
-// the artifact file it can write (empty when it only prints).
+// mode is one registered experiment: a stable name, what it produces, the
+// artifact file its report is written to (empty when it only prints), and
+// its runner.
 type mode struct {
 	name     string
 	desc     string
 	artifact string
-	run      func() error
+	run      func(experiments.Config) (*experiments.Report, error)
 }
 
+var modes = []mode{
+	{"fig3", "Figure 3: per-query HV vs DW execution profile", "", experiments.Run(experiments.Fig3)},
+	{"fig3.2", "Section 3.2: the two-query transfer experiment", "", experiments.Run(experiments.Sec32)},
+	{"fig4", "Figure 4: five-variant TTI comparison", "", experiments.Run(experiments.Fig4Shared)},
+	{"fig5", "Figure 5: TTI speedup over HV-OP", "", experiments.Run(experiments.Fig5Shared)},
+	{"fig6", "Figure 6: per-query time across the evolving workload", "", experiments.Run(experiments.Fig6All)},
+	{"fig7", "Figure 7: tuning policy comparison", "", experiments.Run(experiments.Fig7)},
+	{"fig8", "Figure 8: transfer budget sensitivity", "", experiments.Run(experiments.Fig8)},
+	{"fig9", "Figure 9: storage budget sensitivity", "", experiments.Run(experiments.Fig9)},
+	{"table2", "Table 2: mutual impact of sharing the DW", "", experiments.Run(experiments.Table2)},
+	{"order", "workload order sensitivity (extension)", "", experiments.Run(experiments.OrderSensitivity)},
+	{"chaos", "fault-injection sweep (robustness extension)", "", experiments.Run(experiments.Chaos)},
+	{"crash", "crash-recovery sweep (durability extension)", "", experiments.Run(experiments.CrashSweep)},
+	{"benchexec", "exec benchmark pipeline: morsel engine vs serial baseline", "BENCH_exec.json", experiments.Run(experiments.BenchExec)},
+	{"benchgov", "governance pipeline: cancellation storm, panic containment, memory budgets", "BENCH_governance.json", experiments.Run(experiments.BenchGovern)},
+	{"serve", "concurrent-serving soak (robustness extension)", "", experiments.Run(experiments.Serve)},
+	{"scenarios", "overload scenario matrix: flash crowd, tenant skew, diurnal, drift churn, ETL storm, DW brownout", "BENCH_scenarios.json", experiments.Run(experiments.Scenarios)},
+	{"cache", "cross-query reuse soak: semantic result cache + shared-flight piggybacking vs cold execution", "BENCH_cache.json", experiments.Run(experiments.Cache)},
+	{"endurance", "long-horizon adversarial endurance harness: closed-loop tenants, bit-rot injection, self-healing audit", "BENCH_endurance.json", experiments.Run(experiments.Endurance)},
+}
+
+// paperModes are the modes -all runs: every paper figure and table plus
+// the order-sensitivity extension.
+var paperModes = []string{"fig3", "fig3.2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table2", "order"}
+
 func main() {
-	fig := flag.String("fig", "", "figure to regenerate: 3, 3.2, 4, 5, 6, 7, 8, 9, or 'order' (extension)")
-	table := flag.String("table", "", "table to regenerate: 2")
-	all := flag.Bool("all", false, "regenerate every paper figure and table")
-	listModes := flag.Bool("modes", false, "list every registered mode and exit")
-	modeList := flag.String("mode", "", "comma-separated mode names to run (see -modes)")
-	scale := flag.String("scale", "paper", "dataset scale: paper or small")
-	chaos := flag.Bool("chaos", false, "run the fault-injection sweep (robustness extension; not part of -all)")
-	crash := flag.Bool("crash", false, "run the crash-recovery sweep (durability extension; not part of -all)")
-	faultRate := flag.Float64("faultrate", 0, "uniform fault-injection rate applied to every experiment (0 disables)")
-	faultSeed := flag.Int64("faultseed", 42, "seed for the deterministic fault injector")
-	serveSoak := flag.Bool("serve", false, "run the concurrent-serving soak (robustness extension; not part of -all)")
-	sessions := flag.Int("sessions", 8, "soak: concurrent client sessions")
-	squeries := flag.Int("squeries", 32, "soak: queries per session (cycles the 32-query workload)")
-	workers := flag.Int("workers", 4, "soak: serving worker pool size")
-	queue := flag.Int("queue", 0, "soak: admission queue depth (0 = twice the workers)")
-	timeout := flag.Duration("timeout", 0, "soak: per-query wall-clock deadline (0 disables)")
-	reorgEvery := flag.Int("reorgevery", 0, "soak: force an online reorganization every n submissions (0 disables)")
-	bench := flag.Bool("bench", false, "run the benchmark pipeline (tuner, knapsack, serving; not part of -all)")
-	benchOut := flag.String("benchout", "", "benchmark pipeline: also write the machine-readable JSON report to this file")
-	benchExec := flag.Bool("benchexec", false, "run the exec benchmark pipeline (morsel engine vs serial baseline; not part of -all)")
-	benchExecOut := flag.String("benchexecout", "", "exec benchmark pipeline: also write the machine-readable JSON report to this file")
-	execGate := flag.Bool("execgate", false, "exec benchmark pipeline: exit nonzero unless every per-operator workers=4 row matches the serial digest and runs at speedup >= 1.0")
-	benchGov := flag.Bool("benchgov", false, "run the governance pipeline (cancellation storm, panic containment, memory budgets; not part of -all)")
-	benchGovOut := flag.String("benchgovout", "", "governance pipeline: also write the machine-readable JSON report to this file")
-	scenarios := flag.Bool("scenarios", false, "run the overload scenario matrix (flash crowd, tenant skew, diurnal, drift, ETL storm, DW brownout; not part of -all)")
-	scenariosOut := flag.String("scenariosout", "BENCH_scenarios.json", "scenario matrix: write the machine-readable JSON report to this file ('' disables)")
-	phaseDur := flag.Duration("phasedur", 0, "scenario matrix: duration of each load phase (0 = default)")
-	cacheSessions := flag.Int("cachesessions", 0, "cache soak: concurrent client sessions (0 = default 4)")
-	cacheRounds := flag.Int("cacherounds", 0, "cache soak: workload passes per session (0 = default 3)")
-	cacheOut := flag.String("cacheout", "BENCH_cache.json", "cache soak: write the machine-readable JSON report to this file ('' disables)")
-	endurance := flag.Bool("endurance", false, "run the long-horizon adversarial endurance harness (integrity extension; not part of -all)")
-	enduranceOut := flag.String("enduranceout", "BENCH_endurance.json", "endurance harness: write the machine-readable JSON report to this file ('' disables)")
-	enduranceTenants := flag.Int("endurancetenants", 0, "endurance: closed-loop client/tenant population (0 = default 200)")
-	enduranceReorgs := flag.Int("endurancereorgs", 0, "endurance: reorganization-cycle horizon (0 = default 3)")
-	enduranceQueries := flag.Int("endurancequeries", 0, "endurance: served-query horizon (0 = default 150)")
-	enduranceDur := flag.Duration("endurancedur", 0, "endurance: wall-clock cap (0 = default 3m)")
-	tuneWorkers := flag.Int("tuneworkers", 0, "tuner what-if worker pool size for all experiments (<= 1 keeps costing serial)")
-	execWorkers := flag.Int("execworkers", 0, "execution engine for all experiments: 0 = morsel engine at GOMAXPROCS, n = n morsel workers, -1 = legacy serial engine")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the whole run to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the selected modes and returns the exit code: 0
+// on success, 1 when a mode fails or misses a check, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("misobench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	all := fs.Bool("all", false, "regenerate every paper figure and table")
+	listModes := fs.Bool("modes", false, "list every registered mode and exit")
+	modeList := fs.String("mode", "", "comma-separated mode names to run (see -modes)")
+	scale := fs.String("scale", "paper", "dataset scale: paper or small")
+	faultRate := fs.Float64("faultrate", 0, "uniform fault-injection rate applied to every experiment (0 disables)")
+	faultSeed := fs.Int64("faultseed", 42, "seed for the deterministic fault injector")
+	tuneWorkers := fs.Int("tuneworkers", 0, "tuner what-if worker pool size for all experiments (<= 1 keeps costing serial)")
+	execWorkers := fs.Int("execworkers", 0, "execution engine for all experiments: 0 = morsel engine at GOMAXPROCS, n = n morsel workers, -1 = legacy serial engine")
+	enduranceTenants := fs.Int("endurancetenants", 0, "endurance: closed-loop client/tenant population (0 = default 200)")
+	enduranceQueries := fs.Int("endurancequeries", 0, "endurance: served-query horizon (0 = default 150)")
+	enduranceDur := fs.Duration("endurancedur", 0, "endurance: wall-clock cap (0 = default 3m)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile covering the whole run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	if *listModes {
+		printModes(stdout)
+		return 0
+	}
+	var names []string
+	if *all {
+		names = append(names, paperModes...)
+	}
+	for _, name := range strings.Split(*modeList, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			names = append(names, name)
+		}
+	}
+	targets := map[string]bool{}
+	for _, name := range names {
+		if lookup(name) == nil {
+			fmt.Fprintf(stderr, "unknown mode %q; registered modes:\n", name)
+			printModes(stderr)
+			return 2
+		}
+		targets[name] = true
+	}
+	if len(targets) == 0 {
+		fmt.Fprintln(stderr, "nothing to do; pass -mode or -all (see -modes and -h)")
+		return 2
+	}
+	if *scale != "paper" && *scale != "small" {
+		fmt.Fprintf(stderr, "unknown scale %q; want paper or small\n", *scale)
+		return 2
+	}
 
 	cfg := experiments.Default()
 	if *scale == "small" {
@@ -100,357 +139,97 @@ func main() {
 	cfg.FaultSeed = *faultSeed
 	cfg.TuneWorkers = *tuneWorkers
 	cfg.ExecWorkers = *execWorkers
-
-	writeJSON := func(path string, write func(io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := write(f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-		return nil
-	}
-
-	// fig5 reuses fig4's result when both run in one invocation.
-	var fig4 *experiments.Fig4Result
-
-	registry := []mode{
-		{"fig3", "Figure 3: per-query HV vs DW execution profile", "", func() error {
-			r, err := experiments.Fig3(cfg)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			return nil
-		}},
-		{"fig3.2", "Section 3.2: the two-query transfer experiment", "", func() error {
-			r, err := experiments.Sec32(cfg)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			return nil
-		}},
-		{"fig4", "Figure 4: five-variant TTI comparison", "", func() error {
-			r, err := experiments.Fig4(cfg)
-			if err != nil {
-				return err
-			}
-			fig4 = r
-			r.WriteText(os.Stdout)
-			return nil
-		}},
-		{"fig5", "Figure 5: TTI speedup over HV-OP", "", func() error {
-			r, err := experiments.Fig5(cfg, fig4)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			return nil
-		}},
-		{"fig6", "Figure 6: per-query time across the evolving workload", "", func() error {
-			names := make([]string, 0, 32)
-			for _, q := range workload.Evolving() {
-				names = append(names, q.Name)
-			}
-			r, err := experiments.Fig6(cfg, names)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			return nil
-		}},
-		{"fig7", "Figure 7: tuning policy comparison", "", func() error {
-			r, err := experiments.Fig7(cfg)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			return nil
-		}},
-		{"fig8", "Figure 8: transfer budget sensitivity", "", func() error {
-			r, err := experiments.Fig8(cfg)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			return nil
-		}},
-		{"fig9", "Figure 9: storage budget sensitivity", "", func() error {
-			r, err := experiments.Fig9(cfg)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			return nil
-		}},
-		{"table2", "Table 2: mutual impact of sharing the DW", "", func() error {
-			r, err := experiments.Table2(cfg)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			return nil
-		}},
-		{"order", "workload order sensitivity (extension)", "", func() error {
-			r, err := experiments.OrderSensitivity(cfg)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			return nil
-		}},
-		{"chaos", "fault-injection sweep (robustness extension)", "", func() error {
-			r, err := experiments.Chaos(cfg)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			return nil
-		}},
-		{"crash", "crash-recovery sweep (durability extension)", "", func() error {
-			r, err := experiments.CrashSweep(cfg)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			return nil
-		}},
-		{"bench", "benchmark pipeline: tuner, knapsack, serving", "BENCH_tuner.json", func() error {
-			r, err := experiments.Bench(cfg)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			return writeJSON(*benchOut, r.WriteJSON)
-		}},
-		{"benchexec", "exec benchmark pipeline: morsel engine vs serial baseline", "BENCH_exec.json", func() error {
-			r, err := experiments.BenchExec(cfg)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			if err := writeJSON(*benchExecOut, r.WriteJSON); err != nil {
-				return err
-			}
-			if *execGate {
-				if err := experiments.GateExec(r); err != nil {
-					return err
-				}
-				fmt.Println("benchexec gate: every operator at speedup >= 1.0 with matching digests")
-			}
-			return nil
-		}},
-		{"benchgov", "governance pipeline: cancellation storm, panic containment, memory budgets", "BENCH_governance.json", func() error {
-			r, err := experiments.BenchGovern(cfg)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			return writeJSON(*benchGovOut, r.WriteJSON)
-		}},
-		{"serve", "concurrent-serving soak (robustness extension)", "", func() error {
-			sc := experiments.DefaultSoak(cfg)
-			sc.Sessions = *sessions
-			sc.Queries = *squeries
-			sc.Workers = *workers
-			sc.Queue = *queue
-			sc.Timeout = *timeout
-			sc.ReorgEvery = *reorgEvery
-			r, err := experiments.Soak(sc)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			return nil
-		}},
-		{"scenarios", "overload scenario matrix: flash crowd, tenant skew, diurnal, drift churn, ETL storm, DW brownout", "BENCH_scenarios.json", func() error {
-			sc := experiments.DefaultScenarios(cfg)
-			sc.Workers = *workers
-			sc.Queue = *queue
-			if *phaseDur > 0 {
-				sc.PhaseDur = *phaseDur
-			}
-			r, err := experiments.RunScenarios(sc)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			if err := writeJSON(*scenariosOut, r.WriteJSON); err != nil {
-				return err
-			}
-			if !r.Passed() {
-				return fmt.Errorf("scenario matrix: one or more scenarios failed their acceptance checks")
-			}
-			return nil
-		}},
-		{"cache", "cross-query reuse soak: semantic result cache + shared-flight piggybacking vs cold execution", "BENCH_cache.json", func() error {
-			cc := experiments.DefaultCache(cfg)
-			if *cacheSessions > 0 {
-				cc.Sessions = *cacheSessions
-			}
-			if *cacheRounds > 0 {
-				cc.Rounds = *cacheRounds
-			}
-			cc.Workers = *workers
-			cc.Queue = *queue
-			r, err := experiments.BenchCache(cc)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			if err := writeJSON(*cacheOut, r.WriteJSON); err != nil {
-				return err
-			}
-			if !r.Passed() {
-				return fmt.Errorf("cache soak: acceptance gate failed (want speedup >= 2x, hit rate > 0, digest-identical answers, drain-barrier invalidation)")
-			}
-			return nil
-		}},
-		{"endurance", "long-horizon adversarial endurance harness: closed-loop tenants, bit-rot injection, self-healing audit", "BENCH_endurance.json", func() error {
-			ec := experiments.DefaultEndurance(cfg)
-			if *enduranceTenants > 0 {
-				ec.Tenants = *enduranceTenants
-			}
-			if *enduranceReorgs > 0 {
-				ec.MinReorgs = *enduranceReorgs
-			}
-			if *enduranceQueries > 0 {
-				ec.MinQueries = *enduranceQueries
-			}
-			if *enduranceDur > 0 {
-				ec.MaxDuration = *enduranceDur
-			}
-			r, err := experiments.RunEndurance(ec)
-			if err != nil {
-				return err
-			}
-			r.WriteText(os.Stdout)
-			if err := writeJSON(*enduranceOut, r.WriteJSON); err != nil {
-				return err
-			}
-			if !r.Passed() {
-				return fmt.Errorf("endurance harness: one or more acceptance checks failed")
-			}
-			return nil
-		}},
-	}
-	byName := map[string]*mode{}
-	for i := range registry {
-		byName[registry[i].name] = &registry[i]
-	}
-
-	printModes := func(w *os.File) {
-		fmt.Fprintf(w, "%-12s %-24s %s\n", "MODE", "ARTIFACT", "DESCRIPTION")
-		for _, m := range registry {
-			art := m.artifact
-			if art == "" {
-				art = "-"
-			}
-			fmt.Fprintf(w, "%-12s %-24s %s\n", m.name, art, m.desc)
-		}
-	}
-	if *listModes {
-		printModes(os.Stdout)
-		return
-	}
-
-	unknown := func(name string) {
-		fmt.Fprintf(os.Stderr, "unknown mode %q; registered modes:\n", name)
-		printModes(os.Stderr)
-		os.Exit(2)
-	}
-
-	// Resolve the legacy spelling flags and -mode into registry names.
-	targets := map[string]bool{}
-	want := func(name string) {
-		if _, ok := byName[name]; !ok {
-			unknown(name)
-		}
-		targets[name] = true
-	}
-	if *all {
-		for _, t := range []string{"fig3", "fig3.2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table2", "order"} {
-			want(t)
-		}
-	}
-	if *fig != "" {
-		name := "fig" + *fig
-		if *fig == "order" {
-			name = "order"
-		}
-		want(name)
-	}
-	if *table != "" {
-		want("table" + *table)
-	}
-	for f, name := range map[*bool]string{
-		chaos: "chaos", crash: "crash", serveSoak: "serve",
-		bench: "bench", benchExec: "benchexec", benchGov: "benchgov",
-		scenarios: "scenarios", endurance: "endurance",
-	} {
-		if *f {
-			want(name)
-		}
-	}
-	if *modeList != "" {
-		for _, name := range strings.Split(*modeList, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			want(name)
-		}
-	}
-	if len(targets) == 0 {
-		fmt.Fprintln(os.Stderr, "nothing to do; pass -mode, -fig, -table or -all (see -modes and -h)")
-		os.Exit(2)
-	}
+	cfg.EnduranceTenants = *enduranceTenants
+	cfg.EnduranceQueries = *enduranceQueries
+	cfg.EnduranceDur = *enduranceDur
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				os.Exit(1)
-			}
-		}()
+		defer writeHeapProfile(*memProfile, stderr)
 	}
 
-	for _, m := range registry {
+	for _, m := range modes {
 		if !targets[m.name] {
 			continue
 		}
 		start := time.Now()
-		if err := m.run(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", m.name, err)
-			os.Exit(1)
+		rep, err := m.run(cfg)
+		if err != nil {
+			fmt.Fprintf(stderr, "experiment %s failed: %v\n", m.name, err)
+			return 1
 		}
-		fmt.Printf("[%s done in %s wall clock]\n\n", m.name, time.Since(start).Round(time.Millisecond))
+		rep.Mode = m.name
+		rep.Rows.WriteText(stdout)
+		if m.artifact != "" {
+			if err := writeArtifact(m.artifact, rep); err != nil {
+				fmt.Fprintf(stderr, "experiment %s: %v\n", m.name, err)
+				return 1
+			}
+			fmt.Fprintf(stdout, "wrote %s\n", m.artifact)
+		}
+		rep.WriteChecks(stdout)
+		if !rep.Pass {
+			fmt.Fprintf(stderr, "experiment %s failed one or more checks\n", m.name)
+			return 1
+		}
+		fmt.Fprintf(stdout, "[%s done in %s wall clock]\n\n", m.name, time.Since(start).Round(time.Millisecond))
+	}
+	return 0
+}
+
+func lookup(name string) *mode {
+	for i := range modes {
+		if modes[i].name == name {
+			return &modes[i]
+		}
+	}
+	return nil
+}
+
+func printModes(w io.Writer) {
+	fmt.Fprintf(w, "%-12s %-24s %s\n", "MODE", "ARTIFACT", "DESCRIPTION")
+	for _, m := range modes {
+		art := m.artifact
+		if art == "" {
+			art = "-"
+		}
+		fmt.Fprintf(w, "%-12s %-24s %s\n", m.name, art, m.desc)
+	}
+}
+
+func writeArtifact(path string, rep *experiments.Report) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := rep.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func writeHeapProfile(path string, stderr io.Writer) {
+	f, err := os.Create(path)
+	if err != nil {
+		fmt.Fprintf(stderr, "memprofile: %v\n", err)
+		return
+	}
+	defer f.Close()
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		fmt.Fprintf(stderr, "memprofile: %v\n", err)
 	}
 }

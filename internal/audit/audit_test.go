@@ -88,6 +88,9 @@ func TestRepairModeConvergesToClean(t *testing.T) {
 	if len(sys.RotLog()) == 0 {
 		t.Fatal("no rot was injected across the workload")
 	}
+	if len(sys.RotResident()) == 0 {
+		t.Fatal("rot injected but no rotted table resident before the repair pass")
+	}
 
 	sc := audit.New(sys, audit.Config{Repair: true})
 	if _, err := sc.RunOnce(); err != nil {
@@ -117,6 +120,9 @@ func TestRepairModeConvergesToClean(t *testing.T) {
 		if dok && !dw.Verify() {
 			t.Fatalf("rotted view %s still corrupt in DW", name)
 		}
+	}
+	if left := sys.RotResident(); len(left) != 0 {
+		t.Fatalf("rotted tables still resident after repair: %v", left)
 	}
 	if err := sys.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after repair: %v", err)

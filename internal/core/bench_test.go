@@ -52,9 +52,8 @@ func benchTunerSetup(b testing.TB) (Config, *optimizer.Optimizer, *history.Windo
 // benefits, interactions, sparsification, and both knapsacks — over a
 // 6-query window with a realistic view universe. The paper's claim is that
 // tuning is lightweight relative to query execution; this quantifies the
-// computational side of that claim. The baseline sub-benchmark runs the
-// original serial costing path (Config.BaselineCosting); the workers=N
-// variants run the current path at that pool size.
+// computational side of that claim. The workers=N variants run the
+// what-if costing at that pool size.
 func BenchmarkTunerReorganization(b *testing.B) {
 	cfg, opt, win, cur := benchTunerSetup(b)
 	run := func(b *testing.B, cfg Config) {
@@ -69,11 +68,6 @@ func BenchmarkTunerReorganization(b *testing.B) {
 		}
 		b.ReportMetric(float64(cur.HV.Len()), "candidate-views")
 	}
-	b.Run("baseline", func(b *testing.B) {
-		c := cfg
-		c.BaselineCosting = true
-		run(b, c)
-	})
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			c := cfg

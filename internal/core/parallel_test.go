@@ -29,8 +29,8 @@ func reorgFingerprint(r *Reorg) string {
 // TestTuneDeterministicAcrossWorkerCounts regresses the tentpole
 // determinism guarantee: the parallel what-if workers only warm a pure
 // cost cache, and every accumulation runs serially in a fixed order, so
-// Tune's output must be identical at any worker count — including the
-// BaselineCosting path, which shares no caches with the parallel one.
+// Tune's output must be identical at any worker count, with the serial
+// path as the reference.
 func TestTuneDeterministicAcrossWorkerCounts(t *testing.T) {
 	cfg, opt, win, cur := benchTunerSetup(t)
 	if n := cur.HV.Len(); n < 12 {
@@ -40,7 +40,7 @@ func TestTuneDeterministicAcrossWorkerCounts(t *testing.T) {
 	tune := func(c Config) string {
 		r, err := NewTuner(c, opt).Tune(cur, win)
 		if err != nil {
-			t.Fatalf("tune (workers=%d baseline=%v): %v", c.TuneWorkers, c.BaselineCosting, err)
+			t.Fatalf("tune (workers=%d): %v", c.TuneWorkers, err)
 		}
 		return reorgFingerprint(r)
 	}
@@ -52,11 +52,6 @@ func TestTuneDeterministicAcrossWorkerCounts(t *testing.T) {
 		if got := tune(c); got != want {
 			t.Errorf("workers=%d diverged:\n got %s\nwant %s", w, got, want)
 		}
-	}
-	c := cfg
-	c.BaselineCosting = true
-	if got := tune(c); got != want {
-		t.Errorf("BaselineCosting diverged:\n got %s\nwant %s", got, want)
 	}
 }
 

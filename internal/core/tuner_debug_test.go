@@ -55,7 +55,7 @@ func TestTunerInternals(t *testing.T) {
 		var bnD float64
 		rel := 0
 		for i, e := range entries {
-			if !viewRelevant(e.Plan, v) {
+			if len(relevantViews(e.Plan, []*views.View{v})) == 0 {
 				continue
 			}
 			rel++

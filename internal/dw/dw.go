@@ -240,16 +240,6 @@ func (s *Store) CostPlanWith(plan *logical.Node, overlay map[string]stats.Stat) 
 	})
 }
 
-// CostPlanBaseline costs like CostPlanWith but re-estimates each subtree
-// at every appearance instead of memoizing sizes per call — the original
-// cost walk, kept so the benchmark pipeline can record the tuner's
-// speedup baseline in-repo. Both variants compute identical costs.
-func (s *Store) CostPlanBaseline(plan *logical.Node, overlay map[string]stats.Stat) float64 {
-	return s.costFromSizes(plan, func(n *logical.Node) int64 {
-		return s.est.EstimateWith(n, overlay).Bytes
-	})
-}
-
 // costFromSizes charges each operator its input bytes through the cluster
 // throughput. Filters directly over an indexed permanent view scan less.
 func (s *Store) costFromSizes(plan *logical.Node, size func(*logical.Node) int64) float64 {

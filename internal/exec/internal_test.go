@@ -222,3 +222,40 @@ func TestDistinctNullVersusLiteralNullString(t *testing.T) {
 		}
 	}
 }
+
+// TestDistinctHashCollisionFallback drives the exact dedup pass the
+// morsel distinct falls back to on a 64-bit hash collision: with every
+// row forced onto one hash, its output must still equal the serial
+// engine's row for row.
+func TestDistinctHashCollisionFallback(t *testing.T) {
+	schema, err := storage.NewSchema(
+		storage.Column{Name: "s", Type: storage.KindString},
+		storage.Column{Name: "i", Type: storage.KindInt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := storage.NewTable("in", schema)
+	for i := 0; i < 40; i++ {
+		in.MustAppend(storage.Row{storage.StringValue(string(rune('a' + i%5))), storage.IntValue(int64(i % 3))})
+	}
+	in.MustAppend(storage.Row{storage.Null, storage.Null})
+	n := &logical.Node{
+		Kind:     logical.KindDistinct,
+		Children: []*logical.Node{{Kind: logical.KindScan, LogName: "in"}},
+	}
+	n.SetSchema(schema)
+	want, err := runDistinct(n, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &Env{Workers: 2}
+	sc := env.scope()
+	defer sc.Release()
+	got, err := distinctByHashExact(n, env, sc, in, make([]uint64, len(in.Rows)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Rows, want.Rows) || got.RawBytes() != want.RawBytes() {
+		t.Fatalf("collision fallback: %d rows, serial %d rows", len(got.Rows), len(want.Rows))
+	}
+}

@@ -18,8 +18,10 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"sync/atomic"
 
 	"miso/internal/expr"
+	"miso/internal/govern"
 	"miso/internal/logical"
 	"miso/internal/storage"
 )
@@ -168,12 +170,18 @@ func runFilterMorsel(n *logical.Node, env *Env, in *storage.Table) (*storage.Tab
 	}
 	selBuf := make([]int32, nRows)
 	counts := make([]int, morselCount(nRows, mr))
+	sizes := make([]int64, len(counts))
 	err = forEachMorsel(env, "filter", workers, nRows, mr, func(w, m, start, end int) error {
 		b := batches[w]
 		b.Reset(in.Rows[start:end])
 		vec := preds[w](b, nil)
 		sel := vec.TruesInto(selBuf[start:start:end], int32(start))
 		counts[m] = len(sel)
+		// Size the survivors here, in parallel, so the ordered merge
+		// below only copies row references.
+		for _, i := range sel {
+			sizes[m] += in.Rows[i].EncodedSize()
+		}
 		return env.reserve(sc, refRowCost*int64(len(sel)))
 	})
 	if err != nil {
@@ -189,9 +197,7 @@ func runFilterMorsel(n *logical.Node, env *Env, in *storage.Table) (*storage.Tab
 	sincePoll := 0
 	for m, c := range counts {
 		start := m * mr
-		for _, i := range selBuf[start : start+c] {
-			out.MustAppend(in.Rows[i])
-		}
+		out.AppendSelected(in.Rows, selBuf[start:start+c], sizes[m])
 		if sincePoll += c; sincePoll >= cancelPollRows {
 			sincePoll = 0
 			if err := env.cancelErr(); err != nil {
@@ -508,39 +514,87 @@ func runDistinctMorsel(n *logical.Node, env *Env, in *storage.Table) (*storage.T
 	mr := env.morselRows()
 	sc := env.scope()
 	defer sc.Release()
-	// Phase 1: hash whole rows in parallel morsels with the fast internal
-	// mix hash (Value.MixInto) — row-major, since every column participates
-	// and a transpose would only add copying. NULL values fold in like any
-	// other (a NULL is a real distinct key), and the dedup pass verifies
-	// hash collisions value-wise, so the hash needs no other property than
-	// "tagged-key-equal rows hash equal".
+	// Phase 1, in parallel morsels: hash whole rows with the fast internal
+	// mix hash (Value.MixInto) — row-major, since every column
+	// participates and a transpose would only add copying — and dedup
+	// each morsel locally. A row whose hash already appeared earlier in
+	// its morsel is verified value-wise against that row and dropped;
+	// the morsel's first row per hash is kept as a local first. NULL
+	// values fold in like any other (a NULL is a real distinct key), so
+	// the hash needs no other property than "tagged-key-equal rows hash
+	// equal".
 	if err := env.reserve(sc, hashCost*int64(nRows)); err != nil {
 		return nil, err
 	}
 	hashes := make([]uint64, nRows)
-	err := forEachMorsel(env, "distinct-hash", workers, nRows, mr, func(_, _, start, end int) error {
+	morsels := morselCount(nRows, mr)
+	locals := make([][]int32, morsels)
+	seen := make([]map[uint64]int32, workers)
+	var collided atomic.Bool
+	err := forEachMorsel(env, "distinct-hash", workers, nRows, mr, func(w, m, start, end int) error {
+		if seen[w] == nil {
+			seen[w] = make(map[uint64]int32)
+		}
+		local := seen[w]
+		clear(local)
 		for i := start; i < end; i++ {
 			h := storage.HashSeed
 			for _, v := range in.Rows[i] {
 				h = v.MixInto(h)
 			}
 			hashes[i] = h
+			if r0, ok := local[h]; ok {
+				if !distinctRowsEqual(in.Rows[i], in.Rows[r0]) {
+					collided.Store(true)
+				}
+				continue
+			}
+			local[h] = int32(i)
+			locals[m] = append(locals[m], int32(i))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	env.recordColumnar(logical.KindDistinct, int64(morselCount(nRows, mr)), int64(nRows))
-	// Phase 2: one ordered dedup pass keyed by the precomputed 64-bit
-	// hashes — first-seen order IS input order, so no partition merge or
-	// position sort is needed. Rows that collide on the full hash are
-	// verified value-wise; the overflow map stays empty in practice, so the
-	// common path is a single integer-keyed probe per row, with no per-row
-	// key strings. That is strictly less per-row work than the serial
-	// engine's tagged-key build, which is where the distinct speedup on
-	// low-core machines comes from (hashing still parallelizes above).
-	first := make(map[uint64]int32, nRows/4+16)
+	env.recordColumnar(logical.KindDistinct, int64(morsels), int64(nRows))
+	// Phase 2: merge the local firsts in morsel order — first-seen order
+	// IS input order, so no position sort is needed. Only local firsts
+	// reach this serial pass, one integer-keyed probe each, with no
+	// per-row key strings: strictly less serial work than the serial
+	// engine's tagged-key build. A 64-bit hash collision (two unequal
+	// rows with one hash) sends the input to the exact pass instead.
+	if collided.Load() {
+		return distinctByHashExact(n, env, sc, in, hashes)
+	}
+	first := make(map[uint64]int32)
+	out := newOutput(n, in)
+	for _, local := range locals {
+		if err := env.cancelErr(); err != nil {
+			return nil, err
+		}
+		if err := env.reserve(sc, (hashCost+idxCost)*int64(len(local))); err != nil {
+			return nil, err
+		}
+		for _, i := range local {
+			if r0, ok := first[hashes[i]]; ok {
+				if !distinctRowsEqual(in.Rows[i], in.Rows[r0]) {
+					return distinctByHashExact(n, env, sc, in, hashes)
+				}
+				continue
+			}
+			first[hashes[i]] = i
+			out.MustAppend(in.Rows[i])
+		}
+	}
+	return out, nil
+}
+
+// distinctByHashExact is the dedup pass for inputs with a 64-bit hash
+// collision: rows that collide on the full hash are verified value-wise
+// and kept apart in an overflow map.
+func distinctByHashExact(n *logical.Node, env *Env, sc *govern.Scope, in *storage.Table, hashes []uint64) (*storage.Table, error) {
+	first := make(map[uint64]int32, len(in.Rows)/4+16)
 	var overflow map[uint64][]int32
 	out := newOutput(n, in)
 	kept := 0

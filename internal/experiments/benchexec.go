@@ -1,15 +1,14 @@
 // Exec benchmark pipeline: reproducible measurements of the data path —
 // the morsel execution engine against the legacy serial engine, per
-// operator and end-to-end over the paper's 32-query workload — written as
-// the same machine-readable report shape as the tuner pipeline
-// (BENCH_exec.json in CI). Every parallel row's outputs are digest-checked
+// operator and end-to-end over the paper's 32-query workload
+// (BENCH_exec.json). Every parallel row's outputs are digest-checked
 // against the serial baseline's during measurement, so the report cannot
 // record a speedup from an engine that produced different answers.
 package experiments
 
 import (
 	"fmt"
-	"runtime"
+	"io"
 	"testing"
 
 	"miso/internal/data"
@@ -18,6 +17,64 @@ import (
 	"miso/internal/storage"
 	"miso/internal/workload"
 )
+
+// ExecRow is one exec benchmark measurement.
+type ExecRow struct {
+	// Name identifies the benchmark (e.g. "exec/join/workers=4").
+	Name string `json:"name"`
+	// Workers is the morsel engine's pool size; 0 for serial rows.
+	Workers int `json:"workers,omitempty"`
+	// Iterations is how many times the measured op ran.
+	Iterations int `json:"iterations"`
+	// NsPerOp / AllocsPerOp / BytesPerOp are the standard Go benchmark
+	// metrics.
+	NsPerOp     int64 `json:"ns_per_op"`
+	AllocsPerOp int64 `json:"allocs_per_op"`
+	BytesPerOp  int64 `json:"bytes_per_op"`
+	// SpeedupVsBaseline is the serial row's ns/op divided by this row's.
+	SpeedupVsBaseline float64 `json:"speedup_vs_baseline,omitempty"`
+	// Digest is the combined FNV-64a digest of the measured run's output
+	// tables, as hex: equal digests mean byte-identical outputs.
+	Digest string `json:"digest,omitempty"`
+	// DigestMatchesBaseline reports that this row's outputs were
+	// byte-identical to its serial baseline's (rows at workers >= 1).
+	DigestMatchesBaseline bool `json:"digest_matches_baseline,omitempty"`
+}
+
+// ExecRows is the exec benchmark pipeline's result.
+type ExecRows []ExecRow
+
+// WriteText renders the rows as a plain-text table.
+func (rows ExecRows) WriteText(w io.Writer) {
+	fprintf(w, "exec benchmark pipeline\n")
+	fprintf(w, "%-28s %6s %12s %12s %12s %9s\n",
+		"name", "iters", "ns/op", "B/op", "allocs/op", "speedup")
+	for _, row := range rows {
+		fprintf(w, "%-28s %6d %12d %12d %12d %8.2fx\n",
+			row.Name, row.Iterations, row.NsPerOp, row.BytesPerOp,
+			row.AllocsPerOp, row.SpeedupVsBaseline)
+	}
+}
+
+// Checks declares the columnar performance floor: each operator's
+// workers=4 row must match the serial digest and run at least as fast as
+// the serial baseline (speedup >= 1.0).
+func (rows ExecRows) Checks() []Check {
+	out := make([]Check, 0, 2*len(execOpCases))
+	for _, oc := range execOpCases {
+		name := "exec/" + oc.name + "/workers=4"
+		var r ExecRow
+		for _, row := range rows {
+			if row.Name == name {
+				r = row
+			}
+		}
+		out = append(out,
+			checkTrue(name+" digest_matches_baseline", r.DigestMatchesBaseline),
+			check(name+" speedup_vs_baseline", r.SpeedupVsBaseline, ">=", 1.0))
+	}
+	return out
+}
 
 // execWorkerCounts are the morsel-engine pool sizes the end-to-end rows
 // sweep; per-operator rows measure the midpoint (4).
@@ -102,11 +159,11 @@ func findKind(root *logical.Node, kind logical.Kind) *logical.Node {
 
 // benchNode measures RunNode on one operator with the given engine and
 // returns the row plus the output digest of a representative run.
-func (f *execFixture) benchNode(name string, n *logical.Node, inputs []*storage.Table, workers int) (BenchRow, uint64, error) {
+func (f *execFixture) benchNode(name string, n *logical.Node, inputs []*storage.Table, workers int) (ExecRow, uint64, error) {
 	env := f.env(workers)
 	out, err := exec.RunNode(n, env, inputs)
 	if err != nil {
-		return BenchRow{}, 0, err
+		return ExecRow{}, 0, err
 	}
 	digest := storage.ChecksumTable(out)
 	var runErr error
@@ -126,13 +183,13 @@ func (f *execFixture) benchNode(name string, n *logical.Node, inputs []*storage.
 			}
 		})
 		if runErr != nil {
-			return BenchRow{}, 0, runErr
+			return ExecRow{}, 0, runErr
 		}
 		if rep == 0 || r.NsPerOp() < res.NsPerOp() {
 			res = r
 		}
 	}
-	return BenchRow{
+	return ExecRow{
 		Name:        name,
 		Workers:     workers,
 		Iterations:  res.N,
@@ -143,54 +200,11 @@ func (f *execFixture) benchNode(name string, n *logical.Node, inputs []*storage.
 	}, digest, nil
 }
 
-// GateExec enforces the columnar performance floor on a benchexec report:
-// every per-operator morsel row must match the serial digest AND run at
-// least as fast as the serial baseline (speedup >= 1.0). It returns an
-// error listing every violation, so a perf regression in one operator
-// fails CI with the full picture rather than the first symptom.
-func GateExec(rep *BenchReport) error {
-	var bad []string
-	checked := 0
-	for _, r := range rep.Rows {
-		if r.Workers != 4 || len(r.Name) < 6 || r.Name[:5] != "exec/" || r.Name == "exec/workload/workers=4" {
-			continue
-		}
-		checked++
-		if !r.DigestMatchesBaseline {
-			bad = append(bad, fmt.Sprintf("%s: digest does not match serial baseline", r.Name))
-		}
-		if r.SpeedupVsBaseline < 1.0 {
-			bad = append(bad, fmt.Sprintf("%s: speedup %.2fx < 1.0x vs serial (%.2fms vs baseline)",
-				r.Name, r.SpeedupVsBaseline, float64(r.NsPerOp)/1e6))
-		}
-	}
-	if checked == 0 {
-		return fmt.Errorf("benchexec gate: no per-operator workers=4 rows in report")
-	}
-	if len(bad) > 0 {
-		msg := "benchexec gate: columnar floor violated:"
-		for _, b := range bad {
-			msg += "\n  " + b
-		}
-		return fmt.Errorf("%s", msg)
-	}
-	return nil
-}
-
 // BenchExec runs the exec benchmark pipeline: per-operator serial-vs-
 // morsel rows at 4 workers, then the full workload end-to-end at worker
 // counts 1/2/4/8, all digest-checked against the serial baseline.
-func BenchExec(c Config) (*BenchReport, error) {
-	scale := "paper"
-	if c.Data.NumTweets == data.SmallConfig().NumTweets {
-		scale = "small"
-	}
-	rep := &BenchReport{
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		NumCPU: runtime.NumCPU(),
-		Scale:  scale,
-	}
+func BenchExec(c Config) (ExecRows, error) {
+	var rows ExecRows
 	f, err := newExecFixture(c.Data)
 	if err != nil {
 		return nil, err
@@ -224,7 +238,7 @@ func BenchExec(c Config) (*BenchReport, error) {
 		}
 		base.Workers = 0
 		base.SpeedupVsBaseline = 1
-		rep.Rows = append(rep.Rows, base)
+		rows = append(rows, base)
 		row, digest, err := f.benchNode(fmt.Sprintf("exec/%s/workers=4", oc.name), node, inputs, 4)
 		if err != nil {
 			return nil, err
@@ -236,14 +250,14 @@ func BenchExec(c Config) (*BenchReport, error) {
 		if row.NsPerOp > 0 {
 			row.SpeedupVsBaseline = float64(base.NsPerOp) / float64(row.NsPerOp)
 		}
-		rep.Rows = append(rep.Rows, row)
+		rows = append(rows, row)
 	}
 
 	// End-to-end: the full 32-query workload over raw logs.
-	benchWorkload := func(name string, workers int) (BenchRow, uint64, error) {
+	benchWorkload := func(name string, workers int) (ExecRow, uint64, error) {
 		digest, err := f.runWorkload(workers)
 		if err != nil {
-			return BenchRow{}, 0, err
+			return ExecRow{}, 0, err
 		}
 		var runErr error
 		res := testing.Benchmark(func(b *testing.B) {
@@ -256,9 +270,9 @@ func BenchExec(c Config) (*BenchReport, error) {
 			}
 		})
 		if runErr != nil {
-			return BenchRow{}, 0, runErr
+			return ExecRow{}, 0, runErr
 		}
-		return BenchRow{
+		return ExecRow{
 			Name:        name,
 			Workers:     workers,
 			Iterations:  res.N,
@@ -274,7 +288,7 @@ func BenchExec(c Config) (*BenchReport, error) {
 	}
 	base.Workers = 0
 	base.SpeedupVsBaseline = 1
-	rep.Rows = append(rep.Rows, base)
+	rows = append(rows, base)
 	for _, w := range execWorkerCounts {
 		row, digest, err := benchWorkload(fmt.Sprintf("exec/workload/workers=%d", w), w)
 		if err != nil {
@@ -287,7 +301,7 @@ func BenchExec(c Config) (*BenchReport, error) {
 		if row.NsPerOp > 0 {
 			row.SpeedupVsBaseline = float64(base.NsPerOp) / float64(row.NsPerOp)
 		}
-		rep.Rows = append(rep.Rows, row)
+		rows = append(rows, row)
 	}
-	return rep, nil
+	return rows, nil
 }

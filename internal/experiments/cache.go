@@ -6,16 +6,13 @@
 // queries piggyback on the leader's flight). The report records the
 // throughput gain, hit rate, and dedup ratio, and the acceptance gate
 // requires every reuse-served answer to be digest-identical to the cold
-// system's. BenchCache writes the machine-readable report CI uploads as
-// BENCH_cache.json.
+// system's. BenchCache's report is BENCH_cache.json.
 package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"time"
 
@@ -47,15 +44,10 @@ func DefaultCache(cfg Config) CacheConfig {
 	return CacheConfig{Exp: cfg, Sessions: 4, Rounds: 3, Workers: 4}
 }
 
-// CacheReport is the machine-readable cache soak report
-// (BENCH_cache.json in CI).
-type CacheReport struct {
-	GOOS     string `json:"goos"`
-	GOARCH   string `json:"goarch"`
-	NumCPU   int    `json:"num_cpu"`
-	Scale    string `json:"scale"`
-	Sessions int    `json:"sessions"`
-	Rounds   int    `json:"rounds"`
+// CacheRows is the cache soak's result.
+type CacheRows struct {
+	Sessions int `json:"sessions"`
+	Rounds   int `json:"rounds"`
 
 	// Throughput: the same submission schedule against the reuse-disabled
 	// and reuse-enabled backends.
@@ -87,37 +79,30 @@ type CacheReport struct {
 	EntriesPostReorg int  `json:"entries_post_reorg"`
 }
 
-// Passed reports whether the soak met the acceptance gate: reuse wins at
-// least 2x throughput on the repeated workload, the cache actually served
-// hits, answers are digest-identical to cold execution, and the serve
+// Checks declares the soak's acceptance gate: reuse wins at least 2x
+// throughput on the repeated workload, the cache actually served hits,
+// answers are digest-identical to cold execution, and the serve
 // drain-barrier invalidation trigger works.
-func (r *CacheReport) Passed() bool {
-	return r.SpeedupX >= 2 && r.HitRate > 0 && r.DigestsMatch &&
-		r.ReorgHookFired && r.EntriesPostReorg == 0
-}
-
-// WriteJSON renders the report as indented JSON.
-func (r *CacheReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+func (r *CacheRows) Checks() []Check {
+	return []Check{
+		check("speedup_x", r.SpeedupX, ">=", 2),
+		check("hit_rate", r.HitRate, ">", 0),
+		checkTrue("digests_match", r.DigestsMatch),
+		checkTrue("reorg_hook_fired", r.ReorgHookFired),
+		check("entries_post_reorg", float64(r.EntriesPostReorg), "==", 0),
+	}
 }
 
 // WriteText renders the report as a human-readable summary.
-func (r *CacheReport) WriteText(w io.Writer) {
-	fprintf(w, "cache soak (%s/%s, %d CPU, scale=%s): %d sessions x %d rounds, %d queries\n",
-		r.GOOS, r.GOARCH, r.NumCPU, r.Scale, r.Sessions, r.Rounds, r.Submitted)
+func (r *CacheRows) WriteText(w io.Writer) {
+	fprintf(w, "cache soak: %d sessions x %d rounds, %d queries\n",
+		r.Sessions, r.Rounds, r.Submitted)
 	fprintf(w, "  reuse off: %.2fs (%.0f q/s)   reuse on: %.2fs (%.0f q/s)   speedup %.2fx\n",
 		r.OffSeconds, r.OffQPS, r.OnSeconds, r.OnQPS, r.SpeedupX)
 	fprintf(w, "  cache: %d hits / %d misses (hit rate %.2f)   piggybacked %d (dedup %.2f)   subplan hits %d\n",
 		r.Hits, r.Misses, r.HitRate, r.Piggybacked, r.DedupRatio, r.SubplanHits)
 	fprintf(w, "  digests match cold execution: %v   reorg drain-barrier cleared cache: %v (%d -> %d entries)\n",
 		r.DigestsMatch, r.ReorgHookFired, r.EntriesAfterSoak, r.EntriesPostReorg)
-	if r.Passed() {
-		fprintf(w, "  gate: PASS (speedup >= 2x, hit rate > 0, digest-identical)\n")
-	} else {
-		fprintf(w, "  gate: FAIL\n")
-	}
 }
 
 // newCacheSystem builds an MS-MISO backend for the soak. Automatic
@@ -189,16 +174,8 @@ func cacheSoakRun(srv *serve.Server, sessions, rounds int, mu *sync.Mutex, diges
 // BenchCache runs the cache soak: the reuse-disabled baseline, the
 // reuse-enabled run against the same schedule, and the explicit
 // drain-barrier invalidation through the serving frontend.
-func BenchCache(cc CacheConfig) (*CacheReport, error) {
-	scale := "paper"
-	if cc.Exp.Data.NumTweets == data.SmallConfig().NumTweets {
-		scale = "small"
-	}
-	rep := &CacheReport{
-		GOOS:     runtime.GOOS,
-		GOARCH:   runtime.GOARCH,
-		NumCPU:   runtime.NumCPU(),
-		Scale:    scale,
+func BenchCache(cc CacheConfig) (*CacheRows, error) {
+	rep := &CacheRows{
 		Sessions: cc.Sessions,
 		Rounds:   cc.Rounds,
 	}
@@ -275,3 +252,6 @@ func BenchCache(cc CacheConfig) (*CacheReport, error) {
 	}
 	return rep, nil
 }
+
+// Cache is the cache mode: the soak at its default shape.
+func Cache(c Config) (*CacheRows, error) { return BenchCache(DefaultCache(c)) }

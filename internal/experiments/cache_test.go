@@ -18,6 +18,9 @@ func TestBenchCacheSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.WriteText(os.Stderr)
+	if len(r.Checks()) == 0 {
+		t.Fatal("cache soak declared no checks")
+	}
 	if !r.DigestsMatch {
 		t.Fatal("reuse-enabled answers diverged from cold execution")
 	}

@@ -194,6 +194,23 @@ func CrashSweep(cfg Config) (*CrashResult, error) {
 	return res, nil
 }
 
+// Checks declares the sweep's verdict: every armed site's row passes the
+// clean-shutdown byte-identity check.
+func (r *CrashResult) Checks() []Check {
+	out := make([]Check, 0, len(crashCases))
+	for _, cse := range crashCases {
+		site := cse.site.String()
+		clean := false
+		for _, p := range r.Points {
+			if p.Site == site {
+				clean = p.CleanMatch
+			}
+		}
+		out = append(out, checkTrue(site+" clean", clean))
+	}
+	return out
+}
+
 // cleanShutdownMatches checkpoints the live system, recovers a twin from
 // that checkpoint, and compares canonical state digests: with nothing to
 // replay, recovery must reproduce the live state byte-identically.

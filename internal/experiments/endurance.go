@@ -6,18 +6,16 @@
 // at exit the harness proves that every injected corruption was detected
 // and repaired (or had legitimately left the design), that a final
 // verification pass finds zero violations, and that goodput stayed
-// within bound of an identical rot-free control run. Written as
-// BENCH_endurance.json by misobench -mode endurance.
+// within bound of an identical rot-free control run. Its report is
+// BENCH_endurance.json.
 package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -61,9 +59,11 @@ type EnduranceConfig struct {
 }
 
 // DefaultEndurance returns the CI shape: small data, hundreds of
-// tenants, a short multi-reorg horizon.
+// tenants, a short multi-reorg horizon. Nonzero horizon overrides in
+// base (EnduranceTenants, EnduranceQueries, EnduranceDur) replace the
+// defaults.
 func DefaultEndurance(base Config) EnduranceConfig {
-	return EnduranceConfig{
+	ec := EnduranceConfig{
 		Config:        base,
 		Workers:       4,
 		Queue:         16,
@@ -77,26 +77,26 @@ func DefaultEndurance(base Config) EnduranceConfig {
 		ScrubChunk:    4,
 		Seed:          11,
 	}
+	if base.EnduranceTenants > 0 {
+		ec.Tenants = base.EnduranceTenants
+	}
+	if base.EnduranceQueries > 0 {
+		ec.MinQueries = base.EnduranceQueries
+	}
+	if base.EnduranceDur > 0 {
+		ec.MaxDuration = base.EnduranceDur
+	}
+	return ec
 }
 
-// EnduranceCheck is one acceptance criterion's verdict.
-type EnduranceCheck struct {
-	Name   string `json:"name"`
-	Pass   bool   `json:"pass"`
-	Detail string `json:"detail"`
-}
-
-// EnduranceReport is the machine-readable endurance report
-// (BENCH_endurance.json).
-type EnduranceReport struct {
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	NumCPU int    `json:"num_cpu"`
-	Scale  string `json:"scale"`
-
+// EnduranceRows is the endurance run's result.
+type EnduranceRows struct {
 	Tenants     int     `json:"tenants"`
 	DurationSec float64 `json:"duration_sec"`
+	TimedOut    bool    `json:"timed_out"`
 	Reorgs      int     `json:"reorgs"`
+	MinReorgs   int     `json:"min_reorgs"`
+	MinQueries  int     `json:"min_queries"`
 
 	Submitted  int     `json:"submitted"`
 	Served     int     `json:"served"`
@@ -108,56 +108,64 @@ type EnduranceReport struct {
 	ControlGoodputQPS float64 `json:"control_goodput_qps"`
 	GoodputRatio      float64 `json:"goodput_ratio"`
 
-	RotInjected  int `json:"rot_injected"`
-	RotDistinct  int `json:"rot_distinct_views"`
-	AuditDetects int `json:"audit_violations_detected"`
-	AuditRepairs int `json:"audit_violations_repaired"`
-	AuditUnrep   int `json:"audit_violations_unrepaired"`
-	ScrubPasses  int `json:"scrub_passes"`
-	ScrubChunks  int `json:"scrub_chunks"`
+	RotInjected int `json:"rot_injected"`
+	RotDistinct int `json:"rot_distinct_views"`
+	// RotRepaired counts distinct rotted views repaired online at least
+	// once; RotUnaccounted counts resident views still holding a rotted
+	// table.
+	RotRepaired    int  `json:"rot_repaired_views"`
+	RotUnaccounted int  `json:"rot_unaccounted_views"`
+	AuditDetects   int  `json:"audit_violations_detected"`
+	AuditRepairs   int  `json:"audit_violations_repaired"`
+	AuditUnrep     int  `json:"audit_violations_unrepaired"`
+	ScrubPasses    int  `json:"scrub_passes"`
+	ScrubChunks    int  `json:"scrub_chunks"`
+	ScrubFatal     bool `json:"scrub_fatal"`
 	// FinalViolations counts violations found by the post-run
 	// verification pass (must be zero).
 	FinalViolations int     `json:"final_violations"`
 	RecoverySeconds float64 `json:"recovery_seconds"`
-
-	Checks []EnduranceCheck `json:"checks"`
-	Pass   bool             `json:"pass"`
+	// InvariantErr is the catalog invariant failure at exit ("" when the
+	// invariants hold).
+	InvariantErr string `json:"invariant_error,omitempty"`
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r *EnduranceReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteText renders the report as plain text.
-func (r *EnduranceReport) WriteText(w io.Writer) {
-	verdict := "PASS"
-	if !r.Pass {
-		verdict = "FAIL"
-	}
-	fprintf(w, "endurance run [%s] (%s/%s, %d CPU, scale=%s)\n",
-		verdict, r.GOOS, r.GOARCH, r.NumCPU, r.Scale)
-	fprintf(w, "  %d tenants closed-loop for %.1fs, %d reorg cycles\n",
-		r.Tenants, r.DurationSec, r.Reorgs)
+// WriteText renders the result as plain text.
+func (r *EnduranceRows) WriteText(w io.Writer) {
+	fprintf(w, "endurance run\n")
+	fprintf(w, "  %d tenants closed-loop for %.1fs, %d reorg cycles, timed out: %v\n",
+		r.Tenants, r.DurationSec, r.Reorgs, r.TimedOut)
 	fprintf(w, "  served %d of %d submitted (shed %d, failed %d) — %.1f q/s vs rot-free %.1f q/s (ratio %.2f)\n",
 		r.Served, r.Submitted, r.Shed, r.Failed, r.GoodputQPS, r.ControlGoodputQPS, r.GoodputRatio)
-	fprintf(w, "  rot injected %d (%d distinct views); audit detected %d, repaired %d, unrepaired %d over %d passes (%d chunks)\n",
-		r.RotInjected, r.RotDistinct, r.AuditDetects, r.AuditRepairs, r.AuditUnrep, r.ScrubPasses, r.ScrubChunks)
+	fprintf(w, "  rot injected %d (%d distinct views: %d repaired online, %d still resident rotted)\n",
+		r.RotInjected, r.RotDistinct, r.RotRepaired, r.RotUnaccounted)
+	fprintf(w, "  audit detected %d, repaired %d, unrepaired %d over %d passes (%d chunks)\n",
+		r.AuditDetects, r.AuditRepairs, r.AuditUnrep, r.ScrubPasses, r.ScrubChunks)
 	fprintf(w, "  final verification violations %d, recovery %.1fs charged\n",
 		r.FinalViolations, r.RecoverySeconds)
-	for _, c := range r.Checks {
-		mark := "ok  "
-		if !c.Pass {
-			mark = "FAIL"
-		}
-		fprintf(w, "  [%s] %-22s %s\n", mark, c.Name, c.Detail)
+	if r.InvariantErr != "" {
+		fprintf(w, "  INVARIANT VIOLATION: %s\n", r.InvariantErr)
 	}
 }
 
-// Passed reports whether every acceptance check held.
-func (r *EnduranceReport) Passed() bool { return r.Pass }
+// Checks declares the endurance acceptance criteria: the horizon was
+// reached, rot was injected and every rotted view accounted for, nothing
+// is left unrepaired, the verification pass is clean, goodput stayed
+// within half of the rot-free control's, and the catalog invariants hold.
+func (r *EnduranceRows) Checks() []Check {
+	return []Check{
+		checkTrue("horizon not timed out", !r.TimedOut),
+		check("reorgs", float64(r.Reorgs), ">=", float64(r.MinReorgs)),
+		check("served", float64(r.Served), ">=", float64(r.MinQueries)),
+		check("rot_injected", float64(r.RotInjected), ">", 0),
+		check("rot_unaccounted_views", float64(r.RotUnaccounted), "==", 0),
+		check("audit_violations_unrepaired", float64(r.AuditUnrep), "==", 0),
+		checkTrue("scrubber not fatal", !r.ScrubFatal),
+		check("final_violations", float64(r.FinalViolations), "==", 0),
+		check("goodput_qps vs 0.5 x control", r.GoodputQPS, ">=", 0.5*r.ControlGoodputQPS),
+		checkTrue("invariants hold", r.InvariantErr == ""),
+	}
+}
 
 // enduranceOutcome is what one (rot or control) run produces.
 type enduranceOutcome struct {
@@ -350,7 +358,7 @@ func distinct(names []string) []string {
 
 // RunEndurance executes the adversarial endurance run plus its rot-free
 // control and assembles the acceptance report.
-func RunEndurance(cfg EnduranceConfig) (*EnduranceReport, error) {
+func RunEndurance(cfg EnduranceConfig) (*EnduranceRows, error) {
 	if cfg.Tenants <= 0 {
 		cfg.Tenants = 200
 	}
@@ -395,73 +403,43 @@ func RunEndurance(cfg EnduranceConfig) (*EnduranceReport, error) {
 	rotNames := sys.RotLog()
 	rotDistinct := distinct(rotNames)
 
-	rep := &EnduranceReport{
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU(),
-		Scale:   fmt.Sprintf("%d tweets", cfg.Data.NumTweets),
-		Tenants: cfg.Tenants, DurationSec: rot.elapsed.Seconds(), Reorgs: m.Reorgs,
+	rep := &EnduranceRows{
+		Tenants: cfg.Tenants, DurationSec: rot.elapsed.Seconds(), TimedOut: rot.timedOut,
+		Reorgs: m.Reorgs, MinReorgs: cfg.MinReorgs, MinQueries: cfg.MinQueries,
 		Submitted: rot.sub, Served: rot.served, Shed: rot.shed, Failed: rot.failed,
 		GoodputQPS: rot.goodput(), ControlGoodputQPS: control.goodput(),
 		RotInjected: len(rotNames), RotDistinct: len(rotDistinct),
 		AuditDetects: m.AuditViolations, AuditRepairs: m.AuditRepaired, AuditUnrep: m.AuditUnrepaired,
-		ScrubPasses: sr.Passes, ScrubChunks: sr.Chunks,
+		ScrubPasses: sr.Passes, ScrubChunks: sr.Chunks, ScrubFatal: sr.Fatal != nil,
 		FinalViolations: len(finalViols), RecoverySeconds: m.Recovery,
 	}
 	if rep.ControlGoodputQPS > 0 {
 		rep.GoodputRatio = rep.GoodputQPS / rep.ControlGoodputQPS
 	}
 
-	// Which rotted names were repaired at least once? A rotted view that
+	// Which rotted names were repaired at least once? A rotted table that
 	// was never repaired must no longer be resident (evicted or dropped
 	// by the tuner before a scrub chunk reached it — its corruption left
-	// the system with it); anything corrupt AND resident would have
-	// failed the verification pass above.
+	// the system with it). The check is by table, not by name: a view
+	// dropped after its rot may be materialized again, fresh, under the
+	// same name.
 	repaired := map[string]bool{}
 	for _, v := range sr.Violations {
 		if v.Repaired && v.Invariant == multistore.InvChecksum {
 			repaired[v.View] = true
 		}
 	}
-	unaccounted := 0
 	for _, name := range rotDistinct {
 		if repaired[name] {
-			continue
-		}
-		if sys.HV().Views.Has(name) || sys.DW().Views.Has(name) {
-			unaccounted++
+			rep.RotRepaired++
 		}
 	}
-
-	check := func(name string, pass bool, detail string, args ...any) {
-		rep.Checks = append(rep.Checks, EnduranceCheck{
-			Name: name, Pass: pass, Detail: fmt.Sprintf(detail, args...),
-		})
-	}
-	check("horizon", !rot.timedOut && m.Reorgs >= cfg.MinReorgs && rot.served >= cfg.MinQueries,
-		"%d reorg cycles (need >= %d), %d served (need >= %d), timed out: %v",
-		m.Reorgs, cfg.MinReorgs, rot.served, cfg.MinQueries, rot.timedOut)
-	check("rot-exercised", len(rotNames) > 0,
-		"%d corruptions injected across %d views", len(rotNames), len(rotDistinct))
-	check("rot-repaired", unaccounted == 0,
-		"%d distinct rotted views: %d repaired online, %d left the design, %d unaccounted",
-		len(rotDistinct), len(repaired), len(rotDistinct)-len(repaired)-unaccounted, unaccounted)
-	check("zero-unrepaired", m.AuditUnrepaired == 0 && sr.Fatal == nil,
-		"%d unrepaired violations at exit", m.AuditUnrepaired)
-	check("final-pass-clean", len(finalViols) == 0,
-		"%d violations on the independent verification pass", len(finalViols))
-	check("goodput-bound", rep.ControlGoodputQPS <= 0 || rep.GoodputRatio >= 0.5,
-		"rot goodput %.1f q/s vs control %.1f q/s (need ratio >= 0.5, got %.2f)",
-		rep.GoodputQPS, rep.ControlGoodputQPS, rep.GoodputRatio)
+	rep.RotUnaccounted = len(sys.RotResident())
 	if err := sys.CheckInvariants(); err != nil {
-		check("invariants", false, "%v", err)
-	} else {
-		check("invariants", true, "catalog invariants hold at exit")
-	}
-
-	rep.Pass = true
-	for _, c := range rep.Checks {
-		if !c.Pass {
-			rep.Pass = false
-		}
+		rep.InvariantErr = err.Error()
 	}
 	return rep, nil
 }
+
+// Endurance is the endurance mode: the run at its default shape.
+func Endurance(c Config) (*EnduranceRows, error) { return RunEndurance(DefaultEndurance(c)) }

@@ -12,6 +12,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sync"
+	"time"
 
 	"miso/internal/data"
 	"miso/internal/faults"
@@ -47,6 +49,24 @@ type Config struct {
 	// the legacy serial engine. Results are byte-identical at every
 	// setting.
 	ExecWorkers int
+	// EnduranceTenants, EnduranceQueries and EnduranceDur override the
+	// endurance mode's client population, served-query horizon and
+	// wall-clock cap; zero keeps DefaultEndurance's.
+	EnduranceTenants int
+	EnduranceQueries int
+	EnduranceDur     time.Duration
+
+	// runs lets one mode reuse another's runs in the same process: the
+	// fig5 mode renders the fig4 mode's Figure 4 runs. Default and Small
+	// allocate it; copies share it; a zero Config shares nothing.
+	runs *sharedRuns
+}
+
+// sharedRuns holds the last Fig4Shared result and its configuration.
+type sharedRuns struct {
+	sync.Mutex
+	fig4cfg Config
+	fig4    *Fig4Result
 }
 
 // Default returns the paper's main configuration.
@@ -55,6 +75,7 @@ func Default() Config {
 		Data:           data.DefaultConfig(),
 		BudgetMultiple: 2.0,
 		TransferBudget: 10 << 30,
+		runs:           &sharedRuns{},
 	}
 }
 
@@ -64,6 +85,7 @@ func Small() Config {
 		Data:           data.SmallConfig(),
 		BudgetMultiple: 2.0,
 		TransferBudget: 10 << 30,
+		runs:           &sharedRuns{},
 	}
 }
 

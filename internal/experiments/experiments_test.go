@@ -62,7 +62,8 @@ func TestFig4AndFig5(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload")
 	}
-	r, err := Fig4(small())
+	cfg := small()
+	r, err := Fig4Shared(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +92,13 @@ func TestFig4AndFig5(t *testing.T) {
 		t.Error("DW-ONLY first query should include the ETL cost")
 	}
 
-	f5, err := Fig5(small(), r)
+	// The fig5 mode renders the fig4 mode's runs of the same config.
+	f5, err := Fig5Shared(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if f5.Base != r {
+		t.Fatal("Fig5Shared repeated the Figure 4 runs instead of reusing them")
 	}
 	// Distributions are CDFs: nondecreasing, ending at 100%.
 	for i := range f5.Base.Outcomes {

@@ -7,17 +7,14 @@
 // governance plane's zero-cost-when-disabled promise: with no limits, no
 // exec faults and background contexts, the 32-query workload's results and
 // state digest are byte-identical whether or not a ledger is attached.
-// BenchGovern writes the machine-readable report CI uploads as
-// BENCH_governance.json.
+// BenchGovern's report is BENCH_governance.json.
 package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -174,25 +171,17 @@ func governChaosPoint(c Config, rate float64, seed int64) (ChaosPoint, error) {
 	}, nil
 }
 
-// GovernReport is the machine-readable governance report
-// (BENCH_governance.json in CI).
-type GovernReport struct {
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	NumCPU int    `json:"num_cpu"`
-	Scale  string `json:"scale"`
-
+// GovernRows is the governance pipeline's result.
+type GovernRows struct {
 	// Cancellation storm: submissions against a slow-morsel-stretched
 	// system with three of every four query contexts canceled mid-flight,
 	// and the measured cancel-to-idle latency distribution.
-	StormSubmitted   int     `json:"storm_submitted"`
-	StormCompleted   int     `json:"storm_completed"`
-	StormCanceled    int     `json:"storm_canceled"`
-	CancelP50Ms      float64 `json:"cancel_p50_ms"`
-	CancelP99Ms      float64 `json:"cancel_p99_ms"`
-	CancelMaxMs      float64 `json:"cancel_max_ms"`
-	CancelBoundMs    float64 `json:"cancel_bound_ms"`
-	CancelP99Bounded bool    `json:"cancel_p99_bounded"`
+	StormSubmitted int     `json:"storm_submitted"`
+	StormCompleted int     `json:"storm_completed"`
+	StormCanceled  int     `json:"storm_canceled"`
+	CancelP50Ms    float64 `json:"cancel_p50_ms"`
+	CancelP99Ms    float64 `json:"cancel_p99_ms"`
+	CancelMaxMs    float64 `json:"cancel_max_ms"`
 
 	// Panic containment: HV-ONLY workload with worker panics injected;
 	// every failure must wrap govern.ErrInternal and every success must be
@@ -218,26 +207,35 @@ type GovernReport struct {
 	DigestIdentical bool   `json:"digest_identical"`
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r *GovernReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // WriteText renders the report as a human-readable summary.
-func (r *GovernReport) WriteText(w io.Writer) {
-	fprintf(w, "governance pipeline (%s/%s, %d CPU, scale=%s)\n", r.GOOS, r.GOARCH, r.NumCPU, r.Scale)
+func (r *GovernRows) WriteText(w io.Writer) {
+	fprintf(w, "governance pipeline\n")
 	fprintf(w, "cancellation storm: %d submitted, %d completed, %d canceled\n",
 		r.StormSubmitted, r.StormCompleted, r.StormCanceled)
-	fprintf(w, "  cancel-to-idle latency p50 %.2fms  p99 %.2fms  max %.2fms  (bound %.0fms: %v)\n",
-		r.CancelP50Ms, r.CancelP99Ms, r.CancelMaxMs, r.CancelBoundMs, r.CancelP99Bounded)
+	fprintf(w, "  cancel-to-idle latency p50 %.2fms  p99 %.2fms  max %.2fms\n",
+		r.CancelP50Ms, r.CancelP99Ms, r.CancelMaxMs)
 	fprintf(w, "panic containment: %d submitted, %d panics contained, %d completed, survivors identical %v, process survived %v\n",
 		r.PanicSubmitted, r.PanicContained, r.PanicCompleted, r.PanicSurvivorsIdentical, r.PanicProcessSurvived)
 	fprintf(w, "memory budget (%d B/query): %d submitted, %d aborted over budget\n",
 		r.MemLimitBytes, r.MemSubmitted, r.MemAborted)
 	fprintf(w, "governance-off identity: plain %s vs governed %s: identical %v\n",
 		r.DigestPlain, r.DigestGoverned, r.DigestIdentical)
+}
+
+// cancelBoundMs bounds the storm's p99 cancel-to-idle latency.
+const cancelBoundMs = 1000
+
+// Checks declares the governance pipeline's verdicts: cancellation frees
+// workers within the bound, contained panics leave survivors intact,
+// every over-budget query aborts, and an idle ledger changes nothing.
+func (r *GovernRows) Checks() []Check {
+	return []Check{
+		check("cancel_p99_ms", r.CancelP99Ms, "<=", cancelBoundMs),
+		checkTrue("panic_survivors_identical", r.PanicSurvivorsIdentical),
+		checkTrue("panic_process_survived", r.PanicProcessSurvived),
+		check("mem_aborted", float64(r.MemAborted), "==", float64(r.MemSubmitted)),
+		checkTrue("digest_identical", r.DigestIdentical),
+	}
 }
 
 // workloadDigest runs every workload query on sys through run and folds
@@ -258,17 +256,8 @@ func workloadDigest(sys *multistore.System, run func(sql string) (*multistore.Qu
 // BenchGovern runs the governance pipeline: the cancellation storm, the
 // panic-containment run, the memory-budget run, and the governance-off
 // identity check.
-func BenchGovern(c Config) (*GovernReport, error) {
-	scale := "paper"
-	if c.Data.NumTweets == data.SmallConfig().NumTweets {
-		scale = "small"
-	}
-	rep := &GovernReport{
-		GOOS:   runtime.GOOS,
-		GOARCH: runtime.GOARCH,
-		NumCPU: runtime.NumCPU(),
-		Scale:  scale,
-	}
+func BenchGovern(c Config) (*GovernRows, error) {
+	rep := &GovernRows{}
 
 	// 1. Cancellation storm: every morsel stalls (up to 2ms), so queries
 	// are long enough that mid-flight cancellation is the common case.
@@ -292,8 +281,6 @@ func BenchGovern(c Config) (*GovernReport, error) {
 	rep.CancelP50Ms = float64(durPercentile(lat, 50)) / 1e6
 	rep.CancelP99Ms = float64(durPercentile(lat, 99)) / 1e6
 	rep.CancelMaxMs = float64(durPercentile(lat, 100)) / 1e6
-	rep.CancelBoundMs = 1000
-	rep.CancelP99Bounded = rep.CancelP99Ms <= rep.CancelBoundMs
 
 	// 2. Panic containment. HV-ONLY retains nothing between queries, so
 	// every query's result is position-independent: the fault-free

@@ -5,17 +5,15 @@
 // curves, drift bursts forcing reorganization churn, ETL append storms,
 // and a DW brownout exercising hedged execution — and reports goodput,
 // shed rate, per-tenant fairness, hedge wins, and latency percentiles per
-// phase, written as BENCH_scenarios.json by misobench -scenarios.
+// phase. Its report is BENCH_scenarios.json.
 package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -71,7 +69,7 @@ type TenantOutcome struct {
 	GoodputQPS float64 `json:"goodput_qps"`
 }
 
-// ScenarioResult is one scenario's report plus its pass verdict.
+// ScenarioResult is one scenario's outcome; scenarioSpecs declares its checks.
 type ScenarioResult struct {
 	Name        string          `json:"name"`
 	Description string          `json:"description"`
@@ -87,38 +85,31 @@ type ScenarioResult struct {
 	Degraded      int     `json:"degraded"`
 	Reorgs        int     `json:"reorgs"`
 	LimitDecs     int     `json:"limit_decreases"`
-	Pass          bool    `json:"pass"`
-	Notes         string  `json:"notes,omitempty"`
 }
 
-// ScenarioReport is the machine-readable matrix report
-// (BENCH_scenarios.json).
-type ScenarioReport struct {
-	GOOS          string           `json:"goos"`
-	GOARCH        string           `json:"goarch"`
-	NumCPU        int              `json:"num_cpu"`
-	Scale         string           `json:"scale"`
+// phase returns the i-th phase (negative i counts from the end), or a
+// zero phase when the scenario has no such phase.
+func (s *ScenarioResult) phase(i int) PhaseResult {
+	if i < 0 {
+		i += len(s.Phases)
+	}
+	if i < 0 || i >= len(s.Phases) {
+		return PhaseResult{}
+	}
+	return s.Phases[i]
+}
+
+// ScenarioRows is the scenario matrix's result.
+type ScenarioRows struct {
 	CalibratedQPS float64          `json:"calibrated_qps"`
 	Scenarios     []ScenarioResult `json:"scenarios"`
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r *ScenarioReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // WriteText renders the report as a plain-text table.
-func (r *ScenarioReport) WriteText(w io.Writer) {
-	fprintf(w, "overload scenario matrix (%s/%s, %d CPU, scale=%s, calibrated %.1f q/s)\n",
-		r.GOOS, r.GOARCH, r.NumCPU, r.Scale, r.CalibratedQPS)
+func (r *ScenarioRows) WriteText(w io.Writer) {
+	fprintf(w, "overload scenario matrix (calibrated %.1f q/s)\n", r.CalibratedQPS)
 	for _, s := range r.Scenarios {
-		verdict := "PASS"
-		if !s.Pass {
-			verdict = "FAIL"
-		}
-		fprintf(w, "\n%s [%s] — %s\n", s.Name, verdict, s.Description)
+		fprintf(w, "\n%s — %s\n", s.Name, s.Description)
 		fprintf(w, "  %-12s %9s %6s %6s %6s %9s %9s %9s\n",
 			"phase", "offered", "sub", "served", "shed", "goodput", "p50", "p99")
 		for _, p := range s.Phases {
@@ -134,20 +125,98 @@ func (r *ScenarioReport) WriteText(w io.Writer) {
 		}
 		fprintf(w, "  sheds %d (quota %d), degraded %d, reorgs %d, limit decreases %d\n",
 			s.Sheds, s.QuotaSheds, s.Degraded, s.Reorgs, s.LimitDecs)
-		if s.Notes != "" {
-			fprintf(w, "  %s\n", s.Notes)
-		}
 	}
 }
 
-// Passed reports whether every scenario met its criteria.
-func (r *ScenarioReport) Passed() bool {
-	for _, s := range r.Scenarios {
-		if !s.Pass {
-			return false
+// Checks declares every scenario's acceptance criteria, prefixed with
+// the scenario name; a scenario missing from the result reads as zero.
+func (r *ScenarioRows) Checks() []Check {
+	var out []Check
+	for _, spec := range scenarioSpecs {
+		res := &ScenarioResult{}
+		for i := range r.Scenarios {
+			if r.Scenarios[i].Name == spec.name {
+				res = &r.Scenarios[i]
+			}
+		}
+		for _, c := range spec.checks(res) {
+			c.Name = spec.name + ": " + c.Name
+			out = append(out, c)
 		}
 	}
-	return true
+	return out
+}
+
+// scenarioSpec is one row of the matrix: how to run it and what it must
+// show.
+type scenarioSpec struct {
+	name, desc string
+	run        func(cfg ScenarioConfig, capQPS float64) (*ScenarioResult, error)
+	checks     func(r *ScenarioResult) []Check
+}
+
+var scenarioSpecs = []scenarioSpec{
+	{"flash-crowd", "4x offered overload absorbed as sheds, goodput holds", ScenarioConfig.runFlashCrowd,
+		// No congestion collapse: overload goodput holds at >= 80% of
+		// warm goodput, and overload is absorbed as explicit sheds.
+		func(r *ScenarioResult) []Check {
+			return []Check{
+				check("crowd goodput vs 0.8 x warm", r.phase(1).GoodputQPS, ">=", 0.8*r.phase(0).GoodputQPS),
+				check("crowd sheds", float64(r.phase(1).Shed), ">", 0),
+			}
+		}},
+	{"zipf-skew", "hot tenant sheds against its own quota, cold tenants unharmed", ScenarioConfig.runZipfSkew,
+		// Cold tenants' served counts may drop at most 10% from baseline
+		// to skew, while the hot tenant sheds against its own bucket.
+		func(r *ScenarioResult) []Check {
+			cold := func(p PhaseResult) (n int) {
+				for t, served := range p.TenantServed {
+					if t != "t0" {
+						n += served
+					}
+				}
+				return n
+			}
+			return []Check{
+				check("hot tenant sheds", float64(r.phase(1).TenantShed["t0"]), ">", 0),
+				check("cold served under skew vs 0.9 x baseline", float64(cold(r.phase(1))), ">=", 0.9*float64(cold(r.phase(0)))),
+			}
+		}},
+	{"diurnal", "sinusoidal offered load under the adaptive limit", ScenarioConfig.runDiurnal,
+		// The trough after the peak recovers: final-phase goodput within
+		// 50% of the first trough's.
+		func(r *ScenarioResult) []Check {
+			first, last := r.phase(0).GoodputQPS, r.phase(-1).GoodputQPS
+			return []Check{
+				check("first trough goodput", first, ">", 0),
+				check("last trough goodput vs 0.5 x first", last, ">=", 0.5*first),
+			}
+		}},
+	{"drift-burst", "query-mix drift with reorganization churn between phases", ScenarioConfig.runDriftBurst,
+		// Reorg churn between drifted mixes must not wedge the plane:
+		// both reorgs complete and the drifted phases keep serving.
+		func(r *ScenarioResult) []Check {
+			return []Check{
+				check("reorgs", float64(r.Reorgs), ">=", 2),
+				check("drift-1 served", float64(r.phase(1).Served), ">", 0),
+				check("drift-2 served", float64(r.phase(2).Served), ">", 0),
+			}
+		}},
+	{"etl-storm", "append storm racing live queries", ScenarioConfig.runETLStorm,
+		// Appends invalidate views and race queries through the backend's
+		// serialization; the plane must keep serving.
+		func(r *ScenarioResult) []Check {
+			return []Check{check("storm served", float64(r.phase(1).Served), ">", 0)}
+		}},
+	{"dw-brownout", "DW fault storm with hedged HV execution", ScenarioConfig.runDWBrownout,
+		// The brownout keeps serving, and at least one exhausted DW query
+		// completed from its hedge shadow instead of a serial re-execution.
+		func(r *ScenarioResult) []Check {
+			return []Check{
+				check("served", float64(r.phase(0).Served+r.phase(1).Served), ">", 0),
+				check("hedge wins", float64(r.HedgeWins), ">=", 1),
+			}
+		}},
 }
 
 // phaseSpec is one phase of offered load: per-tenant rates in queries per
@@ -436,7 +505,7 @@ func zipfRates(n int, total, exponent float64) map[string]float64 {
 }
 
 // RunScenarios executes the full matrix and assembles the report.
-func RunScenarios(cfg ScenarioConfig) (*ScenarioReport, error) {
+func RunScenarios(cfg ScenarioConfig) (*ScenarioRows, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
@@ -458,46 +527,22 @@ func RunScenarios(cfg ScenarioConfig) (*ScenarioReport, error) {
 		return nil, err
 	}
 
-	report := &ScenarioReport{
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NumCPU: runtime.NumCPU(),
-		Scale: fmt.Sprintf("%d tweets", cfg.Data.NumTweets), CalibratedQPS: capQPS,
-	}
+	report := &ScenarioRows{CalibratedQPS: capQPS}
 
-	type scenario struct {
-		name, desc string
-		run        func() (*ScenarioResult, error)
-	}
-	scenarios := []scenario{
-		{"flash-crowd", "4x offered overload absorbed as sheds, goodput holds", func() (*ScenarioResult, error) {
-			return cfg.runFlashCrowd(capQPS)
-		}},
-		{"zipf-skew", "hot tenant sheds against its own quota, cold tenants unharmed", func() (*ScenarioResult, error) {
-			return cfg.runZipfSkew(capQPS)
-		}},
-		{"diurnal", "sinusoidal offered load under the adaptive limit", func() (*ScenarioResult, error) {
-			return cfg.runDiurnal(capQPS)
-		}},
-		{"drift-burst", "query-mix drift with reorganization churn between phases", func() (*ScenarioResult, error) {
-			return cfg.runDriftBurst(capQPS)
-		}},
-		{"etl-storm", "append storm racing live queries", func() (*ScenarioResult, error) {
-			return cfg.runETLStorm(capQPS)
-		}},
-		{"dw-brownout", "DW fault storm with hedged HV execution", func() (*ScenarioResult, error) {
-			return cfg.runDWBrownout(capQPS)
-		}},
-	}
-	for _, sc := range scenarios {
-		res, err := sc.run()
+	for _, spec := range scenarioSpecs {
+		res, err := spec.run(cfg, capQPS)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: scenario %s: %w", sc.name, err)
+			return nil, fmt.Errorf("experiments: scenario %s: %w", spec.name, err)
 		}
-		res.Name = sc.name
-		res.Description = sc.desc
+		res.Name = spec.name
+		res.Description = spec.desc
 		report.Scenarios = append(report.Scenarios, *res)
 	}
 	return report, nil
 }
+
+// Scenarios is the scenarios mode: the matrix at its default shape.
+func Scenarios(c Config) (*ScenarioRows, error) { return RunScenarios(DefaultScenarios(c)) }
 
 // finishScenario closes the server, checks invariants, and fills the
 // shared counters into the result.
@@ -539,19 +584,7 @@ func (cfg ScenarioConfig) runFlashCrowd(capQPS float64) (*ScenarioResult, error)
 		srv.Close()
 		return nil, err
 	}
-	res, err := finishScenario(srv, sys, phases, 3*cfg.PhaseDur)
-	if err != nil {
-		return nil, err
-	}
-	// No congestion collapse: overload goodput holds at >= 80% of warm
-	// goodput, overload is absorbed as explicit sheds, and the p99 of
-	// served queries stays under the deadline (timeouts count as Failed,
-	// not Served).
-	warmG, crowdG := phases[0].GoodputQPS, phases[1].GoodputQPS
-	res.Pass = crowdG >= 0.8*warmG && phases[1].Shed > 0
-	res.Notes = fmt.Sprintf("crowd goodput %.1f/s vs warm %.1f/s (need >= 80%%), %d sheds during crowd",
-		crowdG, warmG, phases[1].Shed)
-	return res, nil
+	return finishScenario(srv, sys, phases, 3*cfg.PhaseDur)
 }
 
 func (cfg ScenarioConfig) runZipfSkew(capQPS float64) (*ScenarioResult, error) {
@@ -590,28 +623,7 @@ func (cfg ScenarioConfig) runZipfSkew(capQPS float64) (*ScenarioResult, error) {
 		srv.Close()
 		return nil, err
 	}
-	res, err := finishScenario(srv, sys, phases, 2*cfg.PhaseDur)
-	if err != nil {
-		return nil, err
-	}
-	// Cold tenants' served counts may drop at most 10% from baseline to
-	// skew, while the hot tenant sheds against its own bucket.
-	coldBase, coldSkew := 0, 0
-	for t, n := range phases[0].TenantServed {
-		if t != "t0" {
-			coldBase += n
-		}
-	}
-	for t, n := range phases[1].TenantServed {
-		if t != "t0" {
-			coldSkew += n
-		}
-	}
-	hotShed := phases[1].TenantShed["t0"]
-	res.Pass = hotShed > 0 && float64(coldSkew) >= 0.9*float64(coldBase)
-	res.Notes = fmt.Sprintf("cold served %d baseline -> %d under skew (need >= 90%%), hot shed %d",
-		coldBase, coldSkew, hotShed)
-	return res, nil
+	return finishScenario(srv, sys, phases, 2*cfg.PhaseDur)
 }
 
 func (cfg ScenarioConfig) runDiurnal(capQPS float64) (*ScenarioResult, error) {
@@ -637,16 +649,7 @@ func (cfg ScenarioConfig) runDiurnal(capQPS float64) (*ScenarioResult, error) {
 		srv.Close()
 		return nil, err
 	}
-	res, err := finishScenario(srv, sys, phases, time.Duration(len(phases))*cfg.PhaseDur)
-	if err != nil {
-		return nil, err
-	}
-	// The trough after the peak recovers: final-phase goodput within 50%
-	// of the first trough's, and nothing hard-failed along the curve.
-	first, last := phases[0].GoodputQPS, phases[len(phases)-1].GoodputQPS
-	res.Pass = first > 0 && last >= 0.5*first
-	res.Notes = fmt.Sprintf("trough goodput %.1f/s -> %.1f/s through the peak", first, last)
-	return res, nil
+	return finishScenario(srv, sys, phases, time.Duration(len(phases))*cfg.PhaseDur)
 }
 
 func (cfg ScenarioConfig) runDriftBurst(capQPS float64) (*ScenarioResult, error) {
@@ -669,16 +672,7 @@ func (cfg ScenarioConfig) runDriftBurst(capQPS float64) (*ScenarioResult, error)
 		srv.Close()
 		return nil, err
 	}
-	res, err := finishScenario(srv, sys, phases, 3*cfg.PhaseDur)
-	if err != nil {
-		return nil, err
-	}
-	// Reorg churn between drifted mixes must not wedge the plane:
-	// both reorgs complete and the drifted phases keep serving.
-	res.Pass = res.Reorgs >= 2 && phases[1].Served > 0 && phases[2].Served > 0
-	res.Notes = fmt.Sprintf("%d reorgs; served %d/%d/%d across drift phases",
-		res.Reorgs, phases[0].Served, phases[1].Served, phases[2].Served)
-	return res, nil
+	return finishScenario(srv, sys, phases, 3*cfg.PhaseDur)
 }
 
 func (cfg ScenarioConfig) runETLStorm(capQPS float64) (*ScenarioResult, error) {
@@ -699,15 +693,7 @@ func (cfg ScenarioConfig) runETLStorm(capQPS float64) (*ScenarioResult, error) {
 		srv.Close()
 		return nil, err
 	}
-	res, err := finishScenario(srv, sys, phases, 2*cfg.PhaseDur)
-	if err != nil {
-		return nil, err
-	}
-	// Appends invalidate views and race queries through the backend's
-	// serialization; the plane must keep serving with invariants intact.
-	res.Pass = phases[1].Served > 0
-	res.Notes = fmt.Sprintf("storm-phase served %d of %d offered", phases[1].Served, phases[1].Submitted)
-	return res, nil
+	return finishScenario(srv, sys, phases, 2*cfg.PhaseDur)
 }
 
 func (cfg ScenarioConfig) runDWBrownout(capQPS float64) (*ScenarioResult, error) {
@@ -736,13 +722,5 @@ func (cfg ScenarioConfig) runDWBrownout(capQPS float64) (*ScenarioResult, error)
 		srv.Close()
 		return nil, err
 	}
-	res, err := finishScenario(srv, sys, phases, 2*cfg.PhaseDur)
-	if err != nil {
-		return nil, err
-	}
-	// The brownout keeps serving, and at least one exhausted DW query
-	// completed from its hedge shadow instead of a serial re-execution.
-	res.Pass = phases[0].Served+phases[1].Served > 0 && res.HedgeWins >= 1
-	res.Notes = fmt.Sprintf("hedges %d, wins %d under DW fault storm", res.Hedges, res.HedgeWins)
-	return res, nil
+	return finishScenario(srv, sys, phases, 2*cfg.PhaseDur)
 }

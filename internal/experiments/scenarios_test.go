@@ -38,8 +38,12 @@ func TestScenarioMatrixSmoke(t *testing.T) {
 			}
 		}
 	}
+	report := newReport(cfg.Config, rep)
+	if len(report.Checks) != 12 {
+		t.Fatalf("matrix declared %d checks, want 12", len(report.Checks))
+	}
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := report.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()

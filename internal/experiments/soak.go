@@ -190,6 +190,15 @@ func (r *SoakResult) WriteText(w io.Writer) {
 	}
 }
 
+// Serve is the serve mode: the soak at its default shape.
+func Serve(c Config) (*SoakResult, error) { return Soak(DefaultSoak(c)) }
+
+// Checks declares the soak's exit verdict: the backend's catalog
+// invariants hold.
+func (r *SoakResult) Checks() []Check {
+	return []Check{checkTrue("invariants hold at exit", r.InvariantErr == nil)}
+}
+
 func rateLabel(rate float64) string {
 	if rate <= 0 {
 		return "no faults"

@@ -524,6 +524,7 @@ func logicKernel(op string, l, r BatchCompiled) BatchCompiled {
 		rv := r(b, sel)
 		n := lv.Len()
 		out.Reset(storage.KindBool)
+		out.Grow(n)
 		for i := 0; i < n; i++ {
 			lnull, lt := truthAt(lv, i)
 			rnull, rt := truthAt(rv, i)
@@ -557,6 +558,7 @@ func compareConstKernel(op string, child BatchCompiled, cv storage.Value, revers
 		x := child(b, sel)
 		n := x.Len()
 		out.Reset(storage.KindBool)
+		out.Grow(n)
 		if cv.IsNull() {
 			for i := 0; i < n; i++ {
 				out.AppendNull()

@@ -496,18 +496,6 @@ func (s *Store) expandInPlace(n *logical.Node) *logical.Node {
 // sum runs in signature order so the float64 accumulation — and therefore
 // every what-if cost — is deterministic regardless of map iteration order.
 func (s *Store) CostPlan(plan *logical.Node) float64 {
-	return s.costPlan(plan, true)
-}
-
-// CostPlanBaseline costs like CostPlan but re-estimates each subtree at
-// every appearance instead of memoizing sizes per call — the original
-// cost walk, kept so the benchmark pipeline can record the tuner's
-// speedup baseline in-repo. Both variants compute identical costs.
-func (s *Store) CostPlanBaseline(plan *logical.Node) float64 {
-	return s.costPlan(plan, false)
-}
-
-func (s *Store) costPlan(plan *logical.Node, memoize bool) float64 {
 	if plan.Kind == logical.KindViewScan || plan.Kind == logical.KindScan {
 		return 0
 	}
@@ -517,17 +505,16 @@ func (s *Store) costPlan(plan *logical.Node, memoize bool) float64 {
 		stages = append(stages, n)
 	}
 	sort.Slice(stages, func(i, j int) bool { return stages[i].Signature() < stages[j].Signature() })
-	size := func(n *logical.Node) int64 { return s.est.Estimate(n).Bytes }
-	if memoize {
-		sizes := map[*logical.Node]int64{}
-		size = func(n *logical.Node) int64 {
-			if b, ok := sizes[n]; ok {
-				return b
-			}
-			b := s.est.Estimate(n).Bytes
-			sizes[n] = b
+	// Memoize sizes per call so a subtree is estimated once, not once per
+	// appearance as a stage input.
+	sizes := map[*logical.Node]int64{}
+	size := func(n *logical.Node) int64 {
+		if b, ok := sizes[n]; ok {
 			return b
 		}
+		b := s.est.Estimate(n).Bytes
+		sizes[n] = b
+		return b
 	}
 	var sec float64
 	for _, n := range stages {

@@ -396,19 +396,3 @@ func (n *Node) CloneShallow() *Node {
 	c.Children = append([]*Node(nil), n.Children...)
 	return &c
 }
-
-// CloneDeep clones like Clone but deep-copies each node's schema, as
-// Clone originally did. The optimizer's baseline costing path uses it so
-// the benchmark pipeline can record the speedup baseline in-repo.
-func (n *Node) CloneDeep() *Node {
-	c := *n
-	c.sig = ""
-	if n.schema != nil {
-		c.schema = n.schema.Clone()
-	}
-	c.Children = make([]*Node, len(n.Children))
-	for i, ch := range n.Children {
-		c.Children[i] = ch.CloneDeep()
-	}
-	return &c
-}

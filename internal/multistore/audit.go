@@ -188,8 +188,10 @@ func (s *System) AuditViews(cursor string, max int, repair bool) ([]AuditViolati
 // (the DW placement wins, matching the capture veto's semantics), a
 // storage-budget overflow by LRU eviction back under budget, and a
 // mismatched durable view payload by re-journaling the verified live
-// copy; ledger and accounting violations are report-only. The error
-// return is reserved for a torn WAL append while journaling a repair.
+// copy (recomputing the live copy first when it has rotted too); ledger
+// and accounting violations are report-only. The error return is
+// reserved for a torn WAL append or an injected crash while journaling a
+// repair.
 func (s *System) AuditInvariants(repair bool) ([]AuditViolation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -381,8 +383,10 @@ func (s *System) auditWAL(repair bool) ([]AuditViolation, error) {
 		viol := AuditViolation{Invariant: InvWAL, View: name,
 			Detail: "durable payload fails its admit-record checksum"}
 		if repair {
-			// Self-heal the durable copy from the verified live view.
-			if live := s.lookupView(name, place[name]); live != nil && live.Verify() {
+			switch live := s.lookupView(name, place[name]); {
+			case live == nil:
+			case live.Verify():
+				// Self-heal the durable copy from the verified live view.
 				wal.PutPayload(live)
 				rec := &durability.Record{
 					Kind: durability.KindViewAdmit, Store: place[name], Name: name,
@@ -393,6 +397,21 @@ func (s *System) auditWAL(repair bool) ([]AuditViolation, error) {
 				}
 				viol.Repaired = true
 				viol.Detail += "; re-journaled from the live copy"
+			default:
+				// The live copy rotted before it was journaled: recompute
+				// it, which re-journals a fresh durable copy too. On any
+				// other failure the view-content audit quarantines it.
+				set := s.hv.Views
+				if place[name] == durability.StoreDW {
+					set = s.dw.Views
+				}
+				switch err := s.repairView(live, set, place[name]); {
+				case err == nil:
+					viol.Repaired = true
+					viol.Detail += "; recomputed the live copy and re-journaled it"
+				case errors.Is(err, faults.ErrCrash):
+					return append(viols, viol), err
+				}
 			}
 		}
 		viols = append(viols, viol)
@@ -547,6 +566,10 @@ func (s *System) maybeRot() {
 	rotTable(rotted, frac)
 	v.Table = rotted
 	s.rotLog = append(s.rotLog, v.Name)
+	if s.rotted == nil {
+		s.rotted = map[*storage.Table]bool{}
+	}
+	s.rotted[rotted] = true
 }
 
 // RotLog returns the names of views corrupted by SiteViewRot so far, in
@@ -556,6 +579,25 @@ func (s *System) RotLog() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]string(nil), s.rotLog...)
+}
+
+// RotResident returns the sorted names of resident views whose table is
+// still one SiteViewRot corrupted. A repair or a fresh materialization of
+// the same name installs a new table, so a name that was rotted and
+// later re-created does not count.
+func (s *System) RotResident() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []string
+	for _, set := range []*views.Set{s.hv.Views, s.dw.Views} {
+		for _, v := range set.All() {
+			if s.rotted[v.Table] {
+				out = append(out, v.Name)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // rotTable flips one value in the table, chosen by frac, without changing

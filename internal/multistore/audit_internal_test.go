@@ -3,8 +3,8 @@ package multistore
 // White-box tests for the online integrity plane: the self-healing
 // repair path, the quarantine tombstones that keep an evicted name from
 // resurrecting through opportunistic capture or MS-LRU retention, the
-// system-invariant audit, and the audit-disabled byte-identity
-// guarantee. These need direct access to the stores' view sets to plant
+// system-invariant audit. (The clean-audit byte-identity guarantee is a
+// row of TestIdlePlanesByteIdentical.) These need direct access to the stores' view sets to plant
 // corruption, so they live inside the package.
 
 import (
@@ -249,34 +249,56 @@ func TestAuditInvariantsRepairsDisjointness(t *testing.T) {
 	}
 }
 
-// TestAuditCleanRunByteIdentity is the byte-identity guarantee: on a
-// clean system, repair-mode audit passes after every query must leave
-// the durable state digest identical to a run that never audits at all.
-func TestAuditCleanRunByteIdentity(t *testing.T) {
-	mutate := func(c *Config) { c.CheckpointEvery = 4 }
-	plain := newAuditSystem(t, VariantMSMiso, mutate)
-	audited := newAuditSystem(t, VariantMSMiso, mutate)
+// TestAuditWALRepairsRottedJournaledCopy covers rot that reaches the
+// journal: a live view rots and is then journaled (a placement change
+// copies the live table into the durable payload). The WAL audit finds
+// the payload off its admit record while the live copy fails its own
+// checksum, so re-journaling the live copy cannot heal it; the repair
+// must recompute the live view, which re-journals a verifying payload.
+func TestAuditWALRepairsRottedJournaledCopy(t *testing.T) {
+	sys := newAuditSystem(t, VariantMSMiso, func(c *Config) { c.CheckpointEvery = 4 })
+	runPrefix(t, sys, 6)
 
-	for i, sql := range workload.SQLs() {
-		if _, err := plain.Run(sql); err != nil {
-			t.Fatalf("plain query %d: %v", i, err)
-		}
-		if _, err := audited.Run(sql); err != nil {
-			t.Fatalf("audited query %d: %v", i, err)
-		}
-		viols, _, err := audited.AuditViews("", 0, true)
-		if err != nil {
-			t.Fatalf("audit views after query %d: %v", i, err)
-		}
-		iviols, err := audited.AuditInvariants(true)
-		if err != nil {
-			t.Fatalf("audit invariants after query %d: %v", i, err)
-		}
-		if len(viols)+len(iviols) != 0 {
-			t.Fatalf("clean run reported violations after query %d: %v %v", i, viols, iviols)
+	wal := sys.Durability().WAL()
+	var victim *views.View
+	for _, set := range []*views.Set{sys.hv.Views, sys.dw.Views} {
+		for _, v := range set.All() {
+			if _, ok := wal.Payload(v.Name); ok && victim == nil && v.Def != nil && v.Name == views.NameForSig(v.Sig) {
+				victim = v
+			}
 		}
 	}
-	if a, b := plain.StateDigest(), audited.StateDigest(); a != b {
-		t.Fatalf("auditing a clean run changed the state digest: %016x != %016x", a, b)
+	if victim == nil {
+		t.Fatal("no journaled recomputable view")
+	}
+	rotted := victim.Table.Clone()
+	rotTable(rotted, 0.5)
+	victim.Table = rotted
+	wal.PutPayload(victim)
+
+	viols, err := sys.AuditInvariants(true)
+	if err != nil {
+		t.Fatalf("audit invariants: %v", err)
+	}
+	var found bool
+	for _, v := range viols {
+		if v.Invariant == InvWAL && v.View == victim.Name {
+			found = true
+			if !v.Repaired {
+				t.Fatalf("journaled rot not repaired: %+v", v)
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("rotted durable payload of %s not detected in %v", victim.Name, viols)
+	}
+	if p, ok := wal.Payload(victim.Name); !ok || !p.Verify() {
+		t.Fatal("durable payload still fails verification after repair")
+	}
+	if again, err := sys.AuditInvariants(false); err != nil || len(again) != 0 {
+		t.Fatalf("second invariant pass: %v %v", again, err)
+	}
+	if sys.Metrics().AuditUnrepaired != 0 {
+		t.Fatalf("%d unrepaired violations", sys.Metrics().AuditUnrepaired)
 	}
 }

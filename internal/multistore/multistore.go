@@ -364,8 +364,12 @@ type System struct {
 	// Nil until the first audit quarantine, so audit-disabled runs never
 	// allocate it.
 	tomb map[string]bool
-	// rotLog names the views corrupted by SiteViewRot, in injection order.
+	// rotLog names the views corrupted by SiteViewRot, in injection order;
+	// rotted holds the corrupted tables themselves, so a later instance
+	// of the same name (a repair or a fresh materialization) is told
+	// apart from the damaged one.
 	rotLog []string
+	rotted map[*storage.Table]bool
 
 	// reuse is the cross-query reuse plane (nil when Config.Reuse is
 	// disabled — every reuse touchpoint is then a single nil check).

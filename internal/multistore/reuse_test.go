@@ -401,34 +401,3 @@ func TestReusePiggyback(t *testing.T) {
 		}
 	}
 }
-
-// TestReuseDisabledIsByteIdentical: with Config.Reuse zero the plane is
-// never constructed, and a full workload run produces the same
-// StateDigest as a twin system — the structural guarantee that disabled
-// reuse changes nothing.
-func TestReuseDisabledIsByteIdentical(t *testing.T) {
-	run := func() uint64 {
-		cat, err := data.Generate(data.SmallConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig(VariantMSMiso)
-		cfg.SetBudgets(cat, 2.0, 10<<30)
-		sys := New(cfg, cat)
-		if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
-			t.Fatal(err)
-		}
-		if sys.reuse != nil {
-			t.Fatal("zero Reuse config built a reuse plane")
-		}
-		for i, sql := range workload.SQLs() {
-			if _, err := sys.Run(sql); err != nil {
-				t.Fatalf("query %d: %v", i, err)
-			}
-		}
-		return sys.StateDigest()
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("reuse-disabled runs diverged: %x vs %x", a, b)
-	}
-}

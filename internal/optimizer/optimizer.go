@@ -134,14 +134,10 @@ func New(h *hv.Store, d *dw.Store, est *stats.Estimator, tcfg transfer.Config) *
 
 // RewriteWithViews rewrites the plan greedily top-down, replacing each
 // subtree by the best matching view in the set. It returns the (possibly
-// unchanged) plan.
+// unchanged) plan. The rewrite overwrites every child slot, so only the
+// nodes on a rewritten path are copied (shallowly); subtrees the rewrite
+// leaves alone stay shared.
 func RewriteWithViews(n *logical.Node, set *views.Set) *logical.Node {
-	// The rewrite overwrites every child slot, so only the node itself
-	// needs copying; subtrees the rewrite leaves alone stay shared.
-	return rewriteWithViews(n, set, (*logical.Node).CloneShallow)
-}
-
-func rewriteWithViews(n *logical.Node, set *views.Set, clone func(*logical.Node) *logical.Node) *logical.Node {
 	if set != nil && set.Len() > 0 {
 		if m, ok := set.BestMatch(n); ok {
 			if r, err := m.Rewrite(); err == nil {
@@ -152,10 +148,10 @@ func rewriteWithViews(n *logical.Node, set *views.Set, clone func(*logical.Node)
 	if len(n.Children) == 0 {
 		return n
 	}
-	c := clone(n)
+	c := n.CloneShallow()
 	changed := false
 	for i := range c.Children {
-		nc := rewriteWithViews(c.Children[i], set, clone)
+		nc := RewriteWithViews(c.Children[i], set)
 		if nc != c.Children[i] {
 			changed = true
 		}
@@ -226,35 +222,23 @@ type cutEval struct {
 }
 
 func (o *Optimizer) evalCut(cutNode *logical.Node, d Design, memo map[*logical.Node]*cutEval) *cutEval {
-	if memo != nil {
-		if ce, ok := memo[cutNode]; ok {
-			return ce
-		}
+	if ce, ok := memo[cutNode]; ok {
+		return ce
 	}
 	ce := &cutEval{}
+	memo[cutNode] = ce
 	if d.DW != nil {
 		if m, ok := d.DW.BestMatch(cutNode); ok {
 			if r, err := m.Rewrite(); err == nil {
 				ce.dwView = r
-				if memo != nil {
-					memo[cutNode] = ce
-				}
 				return ce
 			}
 		}
 	}
 	ce.st = o.est.Estimate(cutNode)
-	if memo != nil {
-		ce.hvPlan = RewriteWithViews(cutNode, d.HV)
-		ce.hvCost = o.hv.CostPlan(ce.hvPlan)
-	} else {
-		ce.hvPlan = rewriteWithViews(cutNode, d.HV, (*logical.Node).CloneDeep)
-		ce.hvCost = o.hv.CostPlanBaseline(ce.hvPlan)
-	}
+	ce.hvPlan = RewriteWithViews(cutNode, d.HV)
+	ce.hvCost = o.hv.CostPlan(ce.hvPlan)
 	ce.xfer = transfer.Cost(o.tcfg, ce.st.Bytes).Total()
-	if memo != nil {
-		memo[cutNode] = ce
-	}
 	return ce
 }
 
@@ -282,16 +266,10 @@ func (o *Optimizer) buildPlan(raw *logical.Node, frontier []*logical.Node, d Des
 		cut.HVPlan = ce.hvPlan
 		cut.EstBytes = ce.st.Bytes
 		totalBytes += ce.st.Bytes
-		if memo == nil {
-			// Baseline path: publish the hypothetical working set's stat
-			// to the shared estimator, as the original costing did.
-			o.est.RecordView(cut.TempName, ce.st)
-		} else {
-			if overlay == nil {
-				overlay = make(map[string]stats.Stat, len(frontier))
-			}
-			overlay["viewscan("+cut.TempName+")"] = ce.st
+		if overlay == nil {
+			overlay = make(map[string]stats.Stat, len(frontier))
 		}
+		overlay["viewscan("+cut.TempName+")"] = ce.st
 		replace[cutNode] = logical.NewViewScan(cut.TempName, cutNode.Schema())
 		if o.ReuseProbe == nil || !o.ReuseProbe(cutNode) {
 			plan.EstHV += ce.hvCost
@@ -301,11 +279,7 @@ func (o *Optimizer) buildPlan(raw *logical.Node, frontier []*logical.Node, d Des
 	}
 	plan.EstTransferBytes = totalBytes
 
-	clone := (*logical.Node).CloneShallow
-	if memo == nil {
-		clone = (*logical.Node).CloneDeep
-	}
-	dwPart, err := substitute(raw, replace, clone)
+	dwPart, err := substitute(raw, replace)
 	if err != nil {
 		return nil, err
 	}
@@ -313,25 +287,21 @@ func (o *Optimizer) buildPlan(raw *logical.Node, frontier []*logical.Node, d Des
 		return nil, fmt.Errorf("optimizer: DW part contains a UDF")
 	}
 	plan.DWPart = dwPart
-	if memo != nil {
-		plan.EstDW = o.dw.CostPlanWith(dwPart, overlay)
-	} else {
-		plan.EstDW = o.dw.CostPlanBaseline(dwPart, overlay)
-	}
+	plan.EstDW = o.dw.CostPlanWith(dwPart, overlay)
 	return plan, nil
 }
 
 // substitute clones the tree, swapping replaced subtrees.
-func substitute(n *logical.Node, replace map[*logical.Node]*logical.Node, clone func(*logical.Node) *logical.Node) (*logical.Node, error) {
+func substitute(n *logical.Node, replace map[*logical.Node]*logical.Node) (*logical.Node, error) {
 	if r, ok := replace[n]; ok {
 		return r, nil
 	}
 	if len(n.Children) == 0 {
 		return nil, fmt.Errorf("optimizer: leaf %s not covered by any cut", n.Kind)
 	}
-	c := clone(n)
+	c := n.CloneShallow()
 	for i := range n.Children {
-		nc, err := substitute(n.Children[i], replace, clone)
+		nc, err := substitute(n.Children[i], replace)
 		if err != nil {
 			return nil, err
 		}
@@ -396,36 +366,6 @@ func (o *Optimizer) Cost(raw *logical.Node, d Design) float64 {
 	best, err := o.Choose(raw, d)
 	if err != nil {
 		return 0
-	}
-	return best.EstTotal()
-}
-
-// CostBaseline is Cost without the per-enumeration cut memo, the stores'
-// per-call size memos, or schema sharing in plan clones: every frontier
-// deep-clones, re-rewrites, re-estimates, and re-costs its cut subtrees,
-// as the original costing path did. The tuner's Config.BaselineCosting mode
-// uses it so the benchmark pipeline can record the speedup baseline
-// in-repo; both paths compute identical costs.
-func (o *Optimizer) CostBaseline(raw *logical.Node, d Design) float64 {
-	p := rewriteWithViews(raw, d.HV, (*logical.Node).CloneDeep)
-	plans := []*MultiPlan{{HVOnly: true, HVPlan: p, EstHV: o.hv.CostPlanBaseline(p)}}
-	if !o.DisableSplits {
-		for _, frontier := range o.enumerateCuts(raw, o.MaxPlans) {
-			if len(frontier) == 1 && frontier[0] == raw {
-				continue
-			}
-			p, err := o.buildPlan(raw, frontier, d, nil)
-			if err != nil {
-				continue
-			}
-			plans = append(plans, p)
-		}
-	}
-	best := plans[0]
-	for _, p := range plans[1:] {
-		if p.EstTotal() < best.EstTotal() {
-			best = p
-		}
 	}
 	return best.EstTotal()
 }

@@ -85,6 +85,22 @@ func (t *Table) AppendBlock(rows []Row, encodedBytes int64) {
 	t.bytes += encodedBytes
 }
 
+// AppendSelected bulk-appends src[i] for each i in sel, in selection
+// order, under AppendBlock's contract: encodedBytes must be the sum of
+// the selected rows' EncodedSize, computed by the caller.
+func (t *Table) AppendSelected(src []Row, sel []int32, encodedBytes int64) {
+	want := t.Schema.Len()
+	for _, i := range sel {
+		r := src[i]
+		if len(r) != want {
+			panic(fmt.Sprintf("storage: row arity %d does not match schema %s of table %q",
+				len(r), t.Schema, t.Name))
+		}
+		t.Rows = append(t.Rows, r)
+	}
+	t.bytes += encodedBytes
+}
+
 // NumRows returns the row count.
 func (t *Table) NumRows() int { return len(t.Rows) }
 

@@ -11,7 +11,10 @@
 // by a single goroutine. Nothing here locks.
 package storage
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Vector is one column of a row batch. The zero Vector is an empty int
 // vector; call Reset to choose the element kind. Exported slice fields give
@@ -233,11 +236,30 @@ func (v *Vector) Value(i int) Value {
 	}
 }
 
+// Grow ensures room for n more elements of the vector's representation
+// (and their null bits), so a fill of known length allocates at most once.
+func (v *Vector) Grow(n int) {
+	if need := (v.n+n+63)>>6 - len(v.nulls); need > 0 {
+		v.nulls = slices.Grow(v.nulls, need)
+	}
+	switch {
+	case v.generic:
+		v.Vals = slices.Grow(v.Vals, n)
+	case v.kind == KindInt || v.kind == KindBool:
+		v.Ints = slices.Grow(v.Ints, n)
+	case v.kind == KindFloat:
+		v.Floats = slices.Grow(v.Floats, n)
+	case v.kind == KindString:
+		v.Strs = slices.Grow(v.Strs, n)
+	}
+}
+
 // FromRows fills the vector with column col of each row, declaring the
 // given element kind. Values of other kinds degrade the vector to generic
 // storage; either way every value round-trips exactly.
 func (v *Vector) FromRows(rows []Row, col int, kind Kind) {
 	v.Reset(kind)
+	v.Grow(len(rows))
 	for _, r := range rows {
 		v.Append(r[col])
 	}
@@ -247,6 +269,7 @@ func (v *Vector) FromRows(rows []Row, col int, kind Kind) {
 // selected index, in selection order.
 func (v *Vector) FromRowsSel(rows []Row, col int, kind Kind, sel []int32) {
 	v.Reset(kind)
+	v.Grow(len(sel))
 	for _, i := range sel {
 		v.Append(rows[i][col])
 	}
