@@ -45,11 +45,6 @@ type Config struct {
 	// IndexSelectivityFloor bounds how much an index scan can skip; the
 	// loader builds an index on each permanent view's leading column.
 	IndexSelectivityFloor float64
-	// ExecWorkers selects the execution engine (exec.Env.Workers
-	// semantics): 0 runs the morsel engine with GOMAXPROCS workers (the
-	// default), n > 0 bounds the pool, and exec.SerialWorkers selects the
-	// legacy serial engine. Results are byte-identical at every setting.
-	ExecWorkers int
 }
 
 // DefaultConfig matches the paper's 9-node commercial parallel row store.
@@ -75,6 +70,7 @@ type Result struct {
 // multistore system's mutex.
 type Store struct {
 	cfg       Config
+	workers   int
 	est       *stats.Estimator
 	execStats *exec.Stats
 	execInj   *faults.Injector
@@ -130,6 +126,11 @@ func (s *Store) Resolve(name string) (*storage.Table, error) {
 // store hands out (nil detaches).
 func (s *Store) SetExecStats(st *exec.Stats) { s.execStats = st }
 
+// SetExecWorkers selects the exec engine of every Env this store hands out
+// (exec.Env.Workers semantics; 0, the default, is the morsel engine with
+// GOMAXPROCS workers). Results are byte-identical at every setting.
+func (s *Store) SetExecWorkers(n int) { s.workers = n }
+
 // SetExecFaults arms the exec engine's fault sites with their own
 // injector, separate from the store-level one (see hv.Store.SetExecFaults).
 func (s *Store) SetExecFaults(inj *faults.Injector) { s.execInj = inj }
@@ -146,7 +147,7 @@ func (s *Store) Env() *exec.Env {
 			return nil, fmt.Errorf("%w: cannot scan raw log %q", ErrNoBaseLogs, name)
 		},
 		ReadView: s.Resolve,
-		Workers:  s.cfg.ExecWorkers,
+		Workers:  s.workers,
 		Stats:    s.execStats,
 		Mem:      s.gov,
 		Inj:      s.execInj,
@@ -168,36 +169,9 @@ func (s *Store) ExecuteContext(ctx context.Context, plan *logical.Node) (*Result
 	env := s.Env()
 	env.Ctx = ctx
 	tables := map[*logical.Node]*storage.Table{}
-	var run func(n *logical.Node) (*storage.Table, error)
-	run = func(n *logical.Node) (*storage.Table, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("dw: abandoned: %w", err)
-		}
-		var inputs []*storage.Table
-		switch n.Kind {
-		case logical.KindExtract, logical.KindViewScan:
-		default:
-			for _, c := range n.Children {
-				t, err := run(c)
-				if err != nil {
-					return nil, err
-				}
-				inputs = append(inputs, t)
-			}
-		}
-		t, err := exec.RunNode(n, env, inputs)
-		if err != nil {
-			return nil, err
-		}
-		// Intermediates pipelined through DW are still real memory: charge
-		// their raw bytes; the multistore releases the ledger at query end.
-		if err := s.gov.Reserve(t.RawBytes()); err != nil {
-			return nil, err
-		}
-		tables[n] = t
-		return t, nil
-	}
-	out, err := run(plan)
+	// Intermediates are real memory even in DW: exec.Run charges their raw
+	// bytes to the ledger, which the multistore releases at query end.
+	out, err := exec.Run(plan, env, tables)
 	if err != nil {
 		return nil, fmt.Errorf("dw: executing plan: %w", err)
 	}

@@ -52,7 +52,7 @@ func (f *fixture) loadView(t *testing.T, sql string) *views.View {
 		core.Kind == logical.KindLimit {
 		core = core.Child(0)
 	}
-	table, err := exec.Run(core, f.hv.Env())
+	table, err := exec.Run(core, f.hv.Env(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -286,7 +286,7 @@ func runAggregateMorsel(n *logical.Node, env *Env, in *storage.Table) (*storage.
 			// the hash only has to place tagged-key-equal rows in one
 			// partition, which MixInto guarantees.
 			for g, ev := range set.groups {
-				vec := ev(b, nil)
+				vec := ev(b)
 				for j := 0; j < nLoc; j++ {
 					keyVals[(start+j)*nG+g] = vec.Value(j)
 				}

@@ -29,7 +29,7 @@ func benchQuery(b *testing.B, sql string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.Run(plan, env); err != nil {
+		if _, err := exec.Run(plan, env, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func TestFilterSelectionZeroAlloc(t *testing.T) {
 	sel := make([]int32, 0, len(rows))
 	run := func() int {
 		batch.Reset(rows)
-		vec := pred(batch, nil)
+		vec := pred(batch)
 		return len(vec.TruesInto(sel[:0], 0))
 	}
 	survivors := run() // warm scratch before measuring
@@ -154,7 +154,7 @@ func TestBatchHashZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkColumnarFilterSelection measures the fused filter kernel in
+// BenchmarkColumnarFilterSelection measures the columnar filter kernel in
 // isolation: batch transpose + predicate eval + selection compaction over
 // one 1024-row morsel.
 func BenchmarkColumnarFilterSelection(b *testing.B) {
@@ -165,7 +165,7 @@ func BenchmarkColumnarFilterSelection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch.Reset(rows)
-		vec := pred(batch, nil)
+		vec := pred(batch)
 		sel = vec.TruesInto(sel[:0], 0)
 	}
 	_ = sel

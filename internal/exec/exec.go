@@ -1,9 +1,10 @@
 // Package exec implements the physical operators shared by both stores:
 // SerDe extraction over raw JSON logs, filter, project, hash join, hash
-// aggregation, distinct, sort, and limit. The hv engine drives these
-// operators stage by stage (materializing intermediates); the dw engine
-// pipelines whole subtrees. Both produce real result tables — simulated
-// time is layered on top by each store's cost model, not here.
+// aggregation, distinct, sort, and limit. Run walks a plan one operator at
+// a time and materializes every intermediate. Both stores execute through
+// it: hv captures stage outputs as opportunistic views, and both record
+// every observed subtree size for the optimizer. Results are real tables —
+// simulated time is layered on top by each store's cost model, not here.
 package exec
 
 import (
@@ -62,35 +63,39 @@ type Env struct {
 	Inj *faults.Injector
 }
 
-// Run executes the whole subtree and returns its result. Under the morsel
-// engine, maximal Filter/Project chains (optionally topped by an
-// Aggregate) are fused into a single columnar pass over their input — see
-// batch.go. Fused or not, results are byte-identical; per-operator Stats
-// are still recorded once per fused stage.
-func Run(n *logical.Node, env *Env) (*storage.Table, error) {
-	if env.parallel() {
-		if chain := fusableChain(n); chain != nil {
-			src, err := Run(chain[len(chain)-1].Children[0], env)
-			if err != nil {
-				return nil, err
-			}
-			return runFusedSafe(chain, env, src)
-		}
-	}
-	inputs := make([]*storage.Table, 0, len(n.Children))
+// Run executes the plan one operator at a time, bottom-up through
+// RunNode, and returns the root's result. Every output is materialized and
+// charged to env.Mem at its raw size: the intermediates are the query's
+// working set, and the ledger's owner releases it when the query ends.
+// When tables is non-nil, Run records every computed node's output in it,
+// which is how the stores learn stage outputs and observed subtree sizes.
+// Cancellation and panic containment apply at every node (see RunNode).
+func Run(n *logical.Node, env *Env, tables map[*logical.Node]*storage.Table) (*storage.Table, error) {
+	var inputs []*storage.Table
 	switch n.Kind {
 	case logical.KindExtract, logical.KindViewScan, logical.KindScan:
 		// Leaf-like: children resolved inside RunNode.
 	default:
+		inputs = make([]*storage.Table, 0, len(n.Children))
 		for _, c := range n.Children {
-			t, err := Run(c, env)
+			t, err := Run(c, env, tables)
 			if err != nil {
 				return nil, err
 			}
 			inputs = append(inputs, t)
 		}
 	}
-	return RunNode(n, env, inputs)
+	t, err := RunNode(n, env, inputs)
+	if err != nil {
+		return nil, err
+	}
+	if err := env.Mem.Reserve(t.RawBytes()); err != nil {
+		return nil, err
+	}
+	if tables != nil {
+		tables[n] = t
+	}
+	return t, nil
 }
 
 // RunNode executes a single operator given its children's outputs. Extract

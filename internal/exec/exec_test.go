@@ -25,7 +25,7 @@ func run(t *testing.T, cat *storage.Catalog, env *exec.Env, sql string) *storage
 	if err != nil {
 		t.Fatalf("build %q: %v", sql, err)
 	}
-	out, err := exec.Run(plan, env)
+	out, err := exec.Run(plan, env, nil)
 	if err != nil {
 		t.Fatalf("run %q: %v", sql, err)
 	}

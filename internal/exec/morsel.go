@@ -139,64 +139,15 @@ func runMorsel(env *Env, op string, m int, fn func() error) error {
 }
 
 // forEachMorsel partitions [0, n) into fixed-size row ranges and fans them
-// out over the worker pool. fn receives the worker index (so callers can
-// keep per-worker scratch state such as compiled evaluators), the morsel
-// index, and the half-open row range. With one worker — or one morsel —
-// everything runs inline on the calling goroutine.
-//
-// Governance: each worker checks cancellation before every claim and stops
-// claiming once any worker fails; a panic in fn fails the operator with a
-// typed govern.ErrInternal instead of killing the process. The first error
-// wins and is returned after all workers have parked.
+// out over the worker pool as forEachTask tasks, one per morsel. fn
+// receives the worker index (so callers can keep per-worker scratch state
+// such as compiled evaluators), the morsel index, and the half-open row
+// range.
 func forEachMorsel(env *Env, op string, workers, n, morselRows int, fn func(w, m, start, end int) error) error {
-	morsels := morselCount(n, morselRows)
-	if morsels == 0 {
-		return nil
-	}
-	if workers > morsels {
-		workers = morsels
-	}
-	if workers <= 1 {
-		for m := 0; m < morsels; m++ {
-			if err := env.cancelErr(); err != nil {
-				return err
-			}
-			start, end := morselRange(m, n, morselRows)
-			if err := runMorsel(env, op, m, func() error { return fn(0, m, start, end) }); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var fail failFirst
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				if fail.aborted() {
-					return
-				}
-				if err := env.cancelErr(); err != nil {
-					fail.set(err)
-					return
-				}
-				m := int(next.Add(1)) - 1
-				if m >= morsels {
-					return
-				}
-				start, end := morselRange(m, n, morselRows)
-				if err := runMorsel(env, op, m, func() error { return fn(w, m, start, end) }); err != nil {
-					fail.set(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return fail.err()
+	return forEachTask(env, op, workers, morselCount(n, morselRows), func(w, m int) error {
+		start, end := morselRange(m, n, morselRows)
+		return fn(w, m, start, end)
+	})
 }
 
 func morselRange(m, n, morselRows int) (start, end int) {
@@ -208,9 +159,14 @@ func morselRange(m, n, morselRows int) (start, end int) {
 	return start, end
 }
 
-// forEachTask runs n independent tasks (hash-partition builds, partition
-// accumulation) over the worker pool with the same governance contract as
-// forEachMorsel: cancellation checked at every claim, panics contained.
+// forEachTask runs n independent tasks (morsels, hash-partition builds,
+// partition accumulation) over the worker pool. With one worker — or one
+// task — everything runs inline on the calling goroutine.
+//
+// Governance: each worker checks cancellation before every claim and stops
+// claiming once any worker fails; a panic in fn fails the operator with a
+// typed govern.ErrInternal instead of killing the process. The first error
+// wins and is returned after all workers have parked.
 func forEachTask(env *Env, op string, workers, n int, fn func(w, i int) error) error {
 	if n == 0 {
 		return nil

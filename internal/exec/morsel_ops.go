@@ -174,7 +174,7 @@ func runFilterMorsel(n *logical.Node, env *Env, in *storage.Table) (*storage.Tab
 	err = forEachMorsel(env, "filter", workers, nRows, mr, func(w, m, start, end int) error {
 		b := batches[w]
 		b.Reset(in.Rows[start:end])
-		vec := preds[w](b, nil)
+		vec := preds[w](b)
 		sel := vec.TruesInto(selBuf[start:start:end], int32(start))
 		counts[m] = len(sel)
 		// Size the survivors here, in parallel, so the ordered merge
@@ -233,7 +233,7 @@ func runProjectMorsel(n *logical.Node, env *Env, in *storage.Table) (*storage.Ta
 	err := forEachMorsel(env, "project", workers, nRows, mr, func(w, m, start, end int) error {
 		b := batches[w]
 		b.Reset(in.Rows[start:end])
-		buf := materializeBatch(b, nil, workerEvals[w], width)
+		buf := materializeBatch(b, workerEvals[w], width)
 		sz := rowsEncodedSize(buf)
 		if err := env.reserve(sc, sz); err != nil {
 			return err
@@ -279,29 +279,22 @@ func compileProjEvals(projs []logical.Proj, schema *storage.Schema) ([]projEval,
 	return evals, nil
 }
 
-// materializeBatch evaluates the projection list over (b, sel) and carves
-// the output rows out of one flat value slice. The rows alias the slice;
-// they are immutable once returned, like every materialized row.
-func materializeBatch(b *expr.Batch, sel []int32, evals []projEval, width int) []storage.Row {
+// materializeBatch evaluates the projection list over b and carves the
+// output rows out of one flat value slice. The rows alias the slice; they
+// are immutable once returned, like every materialized row.
+func materializeBatch(b *expr.Batch, evals []projEval, width int) []storage.Row {
 	nOut := b.Len()
-	if sel != nil {
-		nOut = len(sel)
-	}
 	flat := make([]storage.Value, nOut*width)
 	inRows := b.Rows()
 	for k := range evals {
 		if ev := evals[k].batch; ev != nil {
-			vec := ev(b, sel)
+			vec := ev(b)
 			for j := 0; j < nOut; j++ {
 				flat[j*width+k] = vec.Value(j)
 			}
-		} else if sel == nil {
-			for j := 0; j < nOut; j++ {
-				flat[j*width+k] = evals[k].row(inRows[j])
-			}
 		} else {
-			for j, i := range sel {
-				flat[j*width+k] = evals[k].row(inRows[i])
+			for j, r := range inRows {
+				flat[j*width+k] = evals[k].row(r)
 			}
 		}
 	}

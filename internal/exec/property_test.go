@@ -142,8 +142,8 @@ func TestExecutionDeterminism(t *testing.T) {
 
 // --- Columnar-vs-serial randomized equivalence ------------------------------
 //
-// The columnar batch path (typed vectors, selection vectors, fused
-// Filter/Project/Aggregate chains) must be digest-identical to the serial
+// The columnar batch path (typed vectors, selection vectors, per-morsel
+// batch evaluators) must be digest-identical to the serial
 // row-at-a-time engine for EVERY operator over arbitrary data: random
 // schemas, random null density, off-kind values that degrade vectors to
 // generic storage, every batch size. These tests are the enforcement of
@@ -351,10 +351,10 @@ func propEnv(tables map[string]*storage.Table, workers, morselRows int) *exec.En
 }
 
 // TestColumnarMatchesSerialRandomized is the seeded equivalence fuzz for
-// the columnar batch path: for every operator (and fused chains), random
-// plans over random tables must produce digest-identical outputs across
-// the serial engine and the morsel engine at several worker counts and
-// batch sizes.
+// the columnar batch path: for every operator (and a multi-operator chain),
+// random plans over random tables must produce digest-identical outputs
+// across the serial engine and the morsel engine at several worker counts
+// and batch sizes.
 func TestColumnarMatchesSerialRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(987))
 	for trial := 0; trial < 20; trial++ {
@@ -422,8 +422,9 @@ func TestColumnarMatchesSerialRandomized(t *testing.T) {
 			break
 		}
 
-		// Fused chain: Filter → Project → Filter (→ Aggregate half the time),
-		// exercised through exec.Run's fusion hook.
+		// Chain: Filter → Project → Filter (→ Aggregate half the time), run
+		// unfused one operator at a time like every plan, so each operator
+		// consumes another's columnar output.
 		cf := &logical.Node{Kind: logical.KindFilter, Children: []*logical.Node{scanL()},
 			Pred: propPred(rng, left.Schema, 2)}
 		cf.SetSchema(left.Schema.Clone())
@@ -440,14 +441,14 @@ func TestColumnarMatchesSerialRandomized(t *testing.T) {
 		}
 
 		for pi, plan := range plans {
-			serial, err := exec.Run(plan, propEnv(tables, exec.SerialWorkers, 0))
+			serial, err := exec.Run(plan, propEnv(tables, exec.SerialWorkers, 0), nil)
 			if err != nil {
 				t.Fatalf("trial %d plan %d (%s): serial: %v", trial, pi, plan.Kind, err)
 			}
 			want := storage.ChecksumTable(serial)
 			for _, workers := range []int{1, 3, 4} {
 				for _, mr := range []int{0, 1, 13, 256} {
-					got, err := exec.Run(plan, propEnv(tables, workers, mr))
+					got, err := exec.Run(plan, propEnv(tables, workers, mr), nil)
 					if err != nil {
 						t.Fatalf("trial %d plan %d (%s) w=%d mr=%d: %v",
 							trial, pi, plan.Kind, workers, mr, err)
@@ -477,7 +478,7 @@ func TestMalformedRecordsSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Run(plan, env)
+	out, err := exec.Run(plan, env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func (f *execFixture) runWorkload(workers int) (uint64, error) {
 	env := f.env(workers)
 	d := storage.HashSeed
 	for i, plan := range f.plans {
-		out, err := exec.Run(plan, env)
+		out, err := exec.Run(plan, env, nil)
 		if err != nil {
 			return 0, fmt.Errorf("benchexec: workload query %d: %w", i, err)
 		}
@@ -225,7 +225,7 @@ func BenchExec(c Config) (ExecRows, error) {
 		var inputs []*storage.Table
 		if oc.kind != logical.KindExtract {
 			for _, child := range node.Children {
-				t, err := exec.Run(child, serialEnv)
+				t, err := exec.Run(child, serialEnv, nil)
 				if err != nil {
 					return nil, fmt.Errorf("benchexec: %s inputs: %w", oc.name, err)
 				}

@@ -57,17 +57,15 @@ func (b *Batch) Col(i int) *storage.Vector {
 	return &b.cols[i]
 }
 
-// BatchCompiled evaluates an expression over a whole batch. With sel == nil
-// it evaluates every row and returns a vector of Len elements; with a
-// selection vector it evaluates only rows[sel[j]] and returns a dense
-// vector of len(sel) elements in selection order. The returned vector is
-// scratch owned by the evaluator (or by the batch, for bare column
-// references): it is valid until the next call or the next Batch.Reset, and
-// must not be modified.
+// BatchCompiled evaluates an expression over every row of a batch and
+// returns a vector of Len elements, element i holding the value of row i.
+// The returned vector is scratch owned by the evaluator (or by the batch,
+// for bare column references): it is valid until the next call or the next
+// Batch.Reset, and must not be modified.
 //
 // BatchCompiled inherits Compiled's single-goroutine contract: compile one
 // evaluator per worker.
-type BatchCompiled func(b *Batch, sel []int32) *storage.Vector
+type BatchCompiled func(b *Batch) *storage.Vector
 
 // CompileBatch binds e to the schema and returns a batch evaluator that
 // computes, for every row, exactly the value Compile's row evaluator would.
@@ -75,8 +73,8 @@ type BatchCompiled func(b *Batch, sel []int32) *storage.Vector
 // and constants run as vectorized per-kind kernels; subtrees the compiler
 // cannot vectorize — user-defined function calls, and connectives whose
 // operands contain them (to preserve short-circuit evaluation around
-// non-builtin code) — fall back to the row evaluator, batched over the
-// selection.
+// non-builtin code) — fall back to the row evaluator, run over every row of
+// the batch.
 func CompileBatch(e Expr, schema *storage.Schema) (BatchCompiled, error) {
 	if _, already := e.(*Const); !already && isConstExpr(e) {
 		c, err := Compile(e, schema)
@@ -86,19 +84,6 @@ func CompileBatch(e Expr, schema *storage.Schema) (BatchCompiled, error) {
 		return broadcastKernel(c(nil)), nil
 	}
 	return compileBatchNode(e, schema)
-}
-
-// RefineSelection compacts sel to the entries whose corresponding element
-// of v (dense over sel, as produced by evaluating a predicate with sel) is
-// non-NULL and true. It writes in place and returns the shortened slice.
-func RefineSelection(sel []int32, v *storage.Vector) []int32 {
-	out := sel[:0]
-	for j := range sel {
-		if null, t := truthAt(v, j); !null && t {
-			out = append(out, sel[j])
-		}
-	}
-	return out
 }
 
 // HasFunc reports whether e contains a function call (builtin or UDF)
@@ -129,13 +114,6 @@ func constValueOf(e Expr, schema *storage.Schema) (storage.Value, bool) {
 		return storage.Null, false
 	}
 	return c(nil), true
-}
-
-func selLen(b *Batch, sel []int32) int {
-	if sel == nil {
-		return b.Len()
-	}
-	return len(sel)
 }
 
 // truthAt returns (isNull, truthy) for element i under Value.Bool
@@ -213,19 +191,7 @@ func compileBatchNode(e Expr, schema *storage.Schema) (BatchCompiled, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("expr: unknown column %q in schema %s", v.Name, schema)
 		}
-		kind := schema.Columns[idx].Type
-		out := &storage.Vector{}
-		return func(b *Batch, sel []int32) *storage.Vector {
-			if sel == nil {
-				return b.Col(idx)
-			}
-			if b.built[idx] {
-				out.Gather(&b.cols[idx], sel)
-				return out
-			}
-			out.FromRowsSel(b.rows, idx, kind, sel)
-			return out
-		}, nil
+		return func(b *Batch) *storage.Vector { return b.Col(idx) }, nil
 	case *Const:
 		return broadcastKernel(v.Val), nil
 	case *BinOp:
@@ -236,8 +202,8 @@ func compileBatchNode(e Expr, schema *storage.Schema) (BatchCompiled, error) {
 			return nil, err
 		}
 		out := &storage.Vector{}
-		return func(b *Batch, sel []int32) *storage.Vector {
-			x := in(b, sel)
+		return func(b *Batch) *storage.Vector {
+			x := in(b)
 			n := x.Len()
 			out.Reset(storage.KindBool)
 			for i := 0; i < n; i++ {
@@ -255,8 +221,8 @@ func compileBatchNode(e Expr, schema *storage.Schema) (BatchCompiled, error) {
 			return nil, err
 		}
 		out := &storage.Vector{}
-		return func(b *Batch, sel []int32) *storage.Vector {
-			x := in(b, sel)
+		return func(b *Batch) *storage.Vector {
+			x := in(b)
 			n := x.Len()
 			if !x.Generic() {
 				switch x.Kind() {
@@ -304,8 +270,8 @@ func compileBatchNode(e Expr, schema *storage.Schema) (BatchCompiled, error) {
 		}
 		neg := v.Neg
 		out := &storage.Vector{}
-		return func(b *Batch, sel []int32) *storage.Vector {
-			x := in(b, sel)
+		return func(b *Batch) *storage.Vector {
+			x := in(b)
 			n := x.Len()
 			out.Reset(storage.KindBool)
 			for i := 0; i < n; i++ {
@@ -345,11 +311,11 @@ func compileBatchNode(e Expr, schema *storage.Schema) (BatchCompiled, error) {
 		neg := v.Neg
 		out := &storage.Vector{}
 		dynVecs := make([]*storage.Vector, len(dynItems))
-		return func(b *Batch, sel []int32) *storage.Vector {
-			x := in(b, sel)
+		return func(b *Batch) *storage.Vector {
+			x := in(b)
 			n := x.Len()
 			for k, it := range dynItems {
-				dynVecs[k] = it(b, sel)
+				dynVecs[k] = it(b)
 			}
 			out.Reset(storage.KindBool)
 			for i := 0; i < n; i++ {
@@ -387,12 +353,12 @@ func compileBatchNode(e Expr, schema *storage.Schema) (BatchCompiled, error) {
 	}
 }
 
-// broadcastKernel fills its scratch vector with one value per selected row.
+// broadcastKernel fills its scratch vector with one value per batch row.
 func broadcastKernel(val storage.Value) BatchCompiled {
 	out := &storage.Vector{}
 	kind := val.Kind
-	return func(b *Batch, sel []int32) *storage.Vector {
-		n := selLen(b, sel)
+	return func(b *Batch) *storage.Vector {
+		n := b.Len()
 		out.Reset(kind)
 		for i := 0; i < n; i++ {
 			out.Append(val)
@@ -415,16 +381,10 @@ func scalarFallback(e Expr, schema *storage.Schema) (BatchCompiled, error) {
 		kind = storage.KindNull
 	}
 	out := &storage.Vector{}
-	return func(b *Batch, sel []int32) *storage.Vector {
+	return func(b *Batch) *storage.Vector {
 		out.Reset(kind)
-		if sel == nil {
-			for _, r := range b.rows {
-				out.Append(row(r))
-			}
-		} else {
-			for _, i := range sel {
-				out.Append(row(b.rows[i]))
-			}
+		for _, r := range b.rows {
+			out.Append(row(r))
 		}
 		return out
 	}, nil
@@ -519,9 +479,9 @@ func compileBatchBinOp(v *BinOp, schema *storage.Schema) (BatchCompiled, error) 
 func logicKernel(op string, l, r BatchCompiled) BatchCompiled {
 	isAnd := op == "AND"
 	out := &storage.Vector{}
-	return func(b *Batch, sel []int32) *storage.Vector {
-		lv := l(b, sel)
-		rv := r(b, sel)
+	return func(b *Batch) *storage.Vector {
+		lv := l(b)
+		rv := r(b)
 		n := lv.Len()
 		out.Reset(storage.KindBool)
 		out.Grow(n)
@@ -554,8 +514,8 @@ func logicKernel(op string, l, r BatchCompiled) BatchCompiled {
 
 func compareConstKernel(op string, child BatchCompiled, cv storage.Value, reversed bool) BatchCompiled {
 	out := &storage.Vector{}
-	return func(b *Batch, sel []int32) *storage.Vector {
-		x := child(b, sel)
+	return func(b *Batch) *storage.Vector {
+		x := child(b)
 		n := x.Len()
 		out.Reset(storage.KindBool)
 		out.Grow(n)
@@ -637,9 +597,9 @@ func compareConstKernel(op string, child BatchCompiled, cv storage.Value, revers
 
 func compareVecKernel(op string, l, r BatchCompiled) BatchCompiled {
 	out := &storage.Vector{}
-	return func(b *Batch, sel []int32) *storage.Vector {
-		lv := l(b, sel)
-		rv := r(b, sel)
+	return func(b *Batch) *storage.Vector {
+		lv := l(b)
+		rv := r(b)
 		n := lv.Len()
 		out.Reset(storage.KindBool)
 		if !lv.Generic() && !rv.Generic() &&
@@ -688,8 +648,8 @@ func likeConstKernel(l BatchCompiled, cv storage.Value) BatchCompiled {
 	out := &storage.Vector{}
 	pattern := cv.String()
 	constNull := cv.IsNull()
-	return func(b *Batch, sel []int32) *storage.Vector {
-		lv := l(b, sel)
+	return func(b *Batch) *storage.Vector {
+		lv := l(b)
 		n := lv.Len()
 		out.Reset(storage.KindBool)
 		if constNull {
@@ -722,9 +682,9 @@ func likeConstKernel(l BatchCompiled, cv storage.Value) BatchCompiled {
 
 func likeVecKernel(l, r BatchCompiled) BatchCompiled {
 	out := &storage.Vector{}
-	return func(b *Batch, sel []int32) *storage.Vector {
-		lv := l(b, sel)
-		rv := r(b, sel)
+	return func(b *Batch) *storage.Vector {
+		lv := l(b)
+		rv := r(b)
 		n := lv.Len()
 		out.Reset(storage.KindBool)
 		for i := 0; i < n; i++ {
@@ -766,8 +726,8 @@ func arithFloat(op string, af, bf float64) (float64, bool) {
 
 func arithConstKernel(op string, child BatchCompiled, cv storage.Value, reversed bool) BatchCompiled {
 	out := &storage.Vector{}
-	return func(b *Batch, sel []int32) *storage.Vector {
-		x := child(b, sel)
+	return func(b *Batch) *storage.Vector {
+		x := child(b)
 		n := x.Len()
 		if cv.IsNull() {
 			out.Reset(storage.KindNull)
@@ -849,9 +809,9 @@ func arithConstKernel(op string, child BatchCompiled, cv storage.Value, reversed
 
 func arithVecKernel(op string, l, r BatchCompiled) BatchCompiled {
 	out := &storage.Vector{}
-	return func(b *Batch, sel []int32) *storage.Vector {
-		lv := l(b, sel)
-		rv := r(b, sel)
+	return func(b *Batch) *storage.Vector {
+		lv := l(b)
+		rv := r(b)
 		n := lv.Len()
 		if !lv.Generic() && !rv.Generic() {
 			if lv.Kind() == storage.KindInt && rv.Kind() == storage.KindInt && op != "/" {

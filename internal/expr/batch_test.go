@@ -106,8 +106,7 @@ func valuesBitEqual(a, b storage.Value) bool {
 
 // TestCompileBatchMatchesCompile is the core equivalence check: for every
 // expression shape, the batch evaluator must return bit-identical values to
-// the row evaluator, with and without a selection vector, on clean and
-// mixed-kind (generic-degraded) inputs.
+// the row evaluator on clean and mixed-kind (generic-degraded) inputs.
 func TestCompileBatchMatchesCompile(t *testing.T) {
 	schema := batchTestSchema(t)
 	rng := rand.New(rand.NewSource(42))
@@ -125,8 +124,7 @@ func TestCompileBatchMatchesCompile(t *testing.T) {
 			b := NewBatch(schema)
 			b.Reset(rows)
 
-			// Full batch.
-			out := batchEval(b, nil)
+			out := batchEval(b)
 			if out.Len() != len(rows) {
 				t.Fatalf("%s mixed=%v: batch len %d want %d", name, mixed, out.Len(), len(rows))
 			}
@@ -136,63 +134,6 @@ func TestCompileBatchMatchesCompile(t *testing.T) {
 					t.Fatalf("%s mixed=%v row %d: batch %#v row-eval %#v", name, mixed, i, got, want)
 				}
 			}
-
-			// Random selection (possibly empty), evaluated densely.
-			var sel []int32
-			for i := range rows {
-				if rng.Intn(3) == 0 {
-					sel = append(sel, int32(i))
-				}
-			}
-			out = batchEval(b, sel)
-			if out.Len() != len(sel) {
-				t.Fatalf("%s mixed=%v: sel len %d want %d", name, mixed, out.Len(), len(sel))
-			}
-			for j, i := range sel {
-				want := rowEval(rows[i])
-				if got := out.Value(j); !valuesBitEqual(got, want) {
-					t.Fatalf("%s mixed=%v sel %d (row %d): batch %#v row-eval %#v", name, mixed, j, i, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestRefineSelection checks the predicate-chain helper: refining a dense
-// predicate result keeps exactly the rows the row evaluator keeps.
-func TestRefineSelection(t *testing.T) {
-	schema := batchTestSchema(t)
-	rng := rand.New(rand.NewSource(5))
-	rows := randBatchRows(rng, 300, true)
-	p1, err := CompileBatch(&BinOp{Op: ">", L: &ColRef{Name: "i"}, R: &Const{Val: storage.IntValue(0)}}, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := CompileBatch(&BinOp{Op: "<", L: &ColRef{Name: "j"}, R: &Const{Val: storage.IntValue(4)}}, schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, _ := Compile(&BinOp{Op: ">", L: &ColRef{Name: "i"}, R: &Const{Val: storage.IntValue(0)}}, schema)
-	r2, _ := Compile(&BinOp{Op: "<", L: &ColRef{Name: "j"}, R: &Const{Val: storage.IntValue(4)}}, schema)
-
-	b := NewBatch(schema)
-	b.Reset(rows)
-	sel := p1(b, nil).TruesInto(nil, 0)
-	sel = RefineSelection(sel, p2(b, sel))
-
-	var want []int32
-	for i, r := range rows {
-		v1, v2 := r1(r), r2(r)
-		if !v1.IsNull() && v1.Bool() && !v2.IsNull() && v2.Bool() {
-			want = append(want, int32(i))
-		}
-	}
-	if len(sel) != len(want) {
-		t.Fatalf("refined sel len %d want %d", len(sel), len(want))
-	}
-	for i := range sel {
-		if sel[i] != want[i] {
-			t.Fatalf("sel[%d]=%d want %d", i, sel[i], want[i])
 		}
 	}
 }

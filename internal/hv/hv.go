@@ -40,12 +40,6 @@ type Config struct {
 	WriteMBps float64
 	// SerDeFactor divides scan throughput when parsing raw JSON logs.
 	SerDeFactor float64
-	// ExecWorkers selects the execution engine (exec.Env.Workers
-	// semantics): 0 runs the morsel engine with GOMAXPROCS workers (the
-	// default), n > 0 bounds the pool, and exec.SerialWorkers selects the
-	// legacy serial engine. Results are byte-identical at every setting;
-	// only real wall-clock changes (simulated cost is byte-based).
-	ExecWorkers int
 }
 
 // DefaultConfig matches the paper's 15-node Hive cluster, calibrated to its
@@ -83,6 +77,7 @@ type Result struct {
 // HV side of the multistore design.
 type Store struct {
 	cfg       Config
+	workers   int
 	cat       *storage.Catalog
 	est       *stats.Estimator
 	inj       *faults.Injector
@@ -117,6 +112,11 @@ func (s *Store) SetFaults(inj *faults.Injector, retry faults.RetryPolicy) {
 // SetExecStats attaches a per-operator timing collector to every Env this
 // store hands out (nil detaches).
 func (s *Store) SetExecStats(st *exec.Stats) { s.execStats = st }
+
+// SetExecWorkers selects the exec engine of every Env this store hands out
+// (exec.Env.Workers semantics; 0, the default, is the morsel engine with
+// GOMAXPROCS workers). Results are byte-identical at every setting.
+func (s *Store) SetExecWorkers(n int) { s.workers = n }
 
 // SetExecFaults arms the exec engine's fault sites (worker panics, memory
 // pressure, slow morsels) with their own injector, separate from the
@@ -154,7 +154,7 @@ func (s *Store) Env() *exec.Env {
 			}
 			return v.Table, nil
 		},
-		Workers: s.cfg.ExecWorkers,
+		Workers: s.workers,
 		Stats:   s.execStats,
 		Mem:     s.gov,
 		Inj:     s.execInj,
@@ -274,37 +274,10 @@ func (s *Store) BeginExecute(ctx context.Context, plan *logical.Node) (*Pending,
 	mat := MaterializedNodes(plan)
 	tables := map[*logical.Node]*storage.Table{}
 
-	var run func(n *logical.Node) (*storage.Table, error)
-	run = func(n *logical.Node) (*storage.Table, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("hv: abandoned: %w", err)
-		}
-		var inputs []*storage.Table
-		switch n.Kind {
-		case logical.KindExtract, logical.KindViewScan:
-		default:
-			for _, c := range n.Children {
-				t, err := run(c)
-				if err != nil {
-					return nil, err
-				}
-				inputs = append(inputs, t)
-			}
-		}
-		t, err := exec.RunNode(n, env, inputs)
-		if err != nil {
-			return nil, err
-		}
-		// Materialized intermediates are the query's working set: charge
-		// their real (raw) bytes to the ledger. The multistore releases
-		// the whole ledger when the query ends.
-		if err := s.gov.Reserve(t.RawBytes()); err != nil {
-			return nil, err
-		}
-		tables[n] = t
-		return t, nil
-	}
-	out, err := run(plan)
+	// Materialized intermediates are the query's working set: exec.Run
+	// charges their real (raw) bytes to the ledger, which the multistore
+	// releases when the query ends.
+	out, err := exec.Run(plan, env, tables)
 	if err != nil {
 		return nil, fmt.Errorf("hv: executing plan: %w", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"miso/internal/logical"
 	"miso/internal/stats"
 	"miso/internal/storage"
+	"miso/internal/workload"
 )
 
 func setup(t *testing.T) (*storage.Catalog, *logical.Builder, *hv.Store) {
@@ -283,5 +284,30 @@ func TestEnvViewMissingIsTyped(t *testing.T) {
 	_, err := store.Env().ReadView("nope")
 	if !errors.Is(err, hv.ErrViewMissing) {
 		t.Errorf("missing-view error not typed: %v", err)
+	}
+}
+
+// TestSecondsBitIdenticalAcrossExecutions pins that HV's simulated time is
+// a pure function of the plan and its data: each evolving-workload query
+// executed twice on one store and once on a fresh store reports the same
+// Result.Seconds down to the last bit. Commit sums stage costs in sorted
+// signature order, so neither map iteration order nor the views a previous
+// execution captured may perturb it.
+func TestSecondsBitIdenticalAcrossExecutions(t *testing.T) {
+	cat, b, store := setup(t)
+	for i, q := range workload.Evolving() {
+		plan := build(t, b, q.SQL)
+		fresh := hv.NewStore(hv.DefaultConfig(), cat, stats.NewEstimator(cat))
+		var bits [3]uint64
+		for k, s := range []*hv.Store{store, store, fresh} {
+			res, err := s.Execute(plan, i)
+			if err != nil {
+				t.Fatalf("%s run %d: %v", q.Name, k, err)
+			}
+			bits[k] = math.Float64bits(res.Seconds)
+		}
+		if bits[0] != bits[1] || bits[0] != bits[2] {
+			t.Errorf("%s: Seconds bits %x (first), %x (again), %x (fresh store)", q.Name, bits[0], bits[1], bits[2])
+		}
 	}
 }

@@ -111,8 +111,7 @@ type Config struct {
 	// semantics): 0 runs the morsel engine with GOMAXPROCS workers (the
 	// default), n > 0 bounds the pool, and exec.SerialWorkers selects the
 	// legacy serial engine. Results — tables, digests, TTI — are
-	// byte-identical at every setting; only real wall-clock changes. A
-	// nonzero value overrides HV.ExecWorkers and DW.ExecWorkers.
+	// byte-identical at every setting; only real wall-clock changes.
 	ExecWorkers int
 
 	// MemLimitBytes caps the execution memory of a single query: extract
@@ -414,10 +413,6 @@ func New(cfg Config, cat *storage.Catalog) *System {
 	if cfg.Tuner.MovePenaltyPerByteHV == 0 {
 		cfg.Tuner.MovePenaltyPerByteHV = 3 * transfer.CostToHV(cfg.Transfer, 1<<30).Total() / float64(1<<30)
 	}
-	if cfg.ExecWorkers != 0 {
-		cfg.HV.ExecWorkers = cfg.ExecWorkers
-		cfg.DW.ExecWorkers = cfg.ExecWorkers
-	}
 	est := stats.NewEstimator(cat)
 	h := hv.NewStore(cfg.HV, cat, est)
 	d := dw.NewStore(cfg.DW, est)
@@ -431,6 +426,8 @@ func New(cfg Config, cat *storage.Catalog) *System {
 	retry := cfg.Retry.OrDefault()
 	inj := faults.NewInjector(cfg.Faults, cfg.FaultSeed) // nil for an all-zero profile
 	h.SetFaults(inj, retry)
+	h.SetExecWorkers(cfg.ExecWorkers)
+	d.SetExecWorkers(cfg.ExecWorkers)
 	// The exec-plane sites get their own injector: morsel workers draw from
 	// it concurrently, which must never perturb the main injector's
 	// globally-ordered deterministic draw sequence.

@@ -156,7 +156,7 @@ func TestDWResidentViewEnablesBypass(t *testing.T) {
 			}
 		})
 	}
-	table, err := exec.Run(core, f.hv.Env())
+	table, err := exec.Run(core, f.hv.Env(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

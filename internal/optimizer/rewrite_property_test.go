@@ -82,11 +82,11 @@ func TestRewriteWithViewsPreservesSemantics(t *testing.T) {
 			rewrites++
 		}
 		env := f.hv.Env()
-		want, err := exec.Run(raw, &exec.Env{ReadLog: env.ReadLog})
+		want, err := exec.Run(raw, &exec.Env{ReadLog: env.ReadLog}, nil)
 		if err != nil {
 			t.Fatalf("raw %q: %v", sql, err)
 		}
-		got, err := exec.Run(rewritten, env)
+		got, err := exec.Run(rewritten, env, nil)
 		if err != nil {
 			t.Fatalf("rewritten %q: %v", sql, err)
 		}

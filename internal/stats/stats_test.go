@@ -73,7 +73,7 @@ func TestFeedbackOverridesHeuristics(t *testing.T) {
 	_, b, est, env := setup(t)
 	plan, _ := b.BuildSQL("SELECT tweet_id FROM tweets WHERE lang = 'ja'")
 	before := est.Estimate(plan)
-	table, err := exec.Run(plan, env)
+	table, err := exec.Run(plan, env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,70 +265,6 @@ func (v *Vector) FromRows(rows []Row, col int, kind Kind) {
 	}
 }
 
-// FromRowsSel fills the vector with column col of rows[sel[j]] for each
-// selected index, in selection order.
-func (v *Vector) FromRowsSel(rows []Row, col int, kind Kind, sel []int32) {
-	v.Reset(kind)
-	v.Grow(len(sel))
-	for _, i := range sel {
-		v.Append(rows[i][col])
-	}
-}
-
-// Gather fills the vector with src elements at the selected indices, in
-// selection order.
-func (v *Vector) Gather(src *Vector, sel []int32) {
-	if src.generic {
-		v.Reset(KindNull)
-		for _, i := range sel {
-			v.Vals = append(v.Vals, src.Vals[i])
-		}
-		v.n = len(sel)
-		return
-	}
-	v.Reset(src.kind)
-	if !src.anyNull {
-		// Bulk per-kind gather with no bitmap maintenance: the bitmap only
-		// exists once a null is appended, and none will be.
-		switch src.kind {
-		case KindInt, KindBool:
-			for _, i := range sel {
-				v.Ints = append(v.Ints, src.Ints[i])
-			}
-		case KindFloat:
-			for _, i := range sel {
-				v.Floats = append(v.Floats, src.Floats[i])
-			}
-		case KindString:
-			for _, i := range sel {
-				v.Strs = append(v.Strs, src.Strs[i])
-			}
-		}
-		v.n = len(sel)
-		return
-	}
-	for _, i := range sel {
-		if src.NullAt(int(i)) {
-			v.AppendNull()
-			continue
-		}
-		switch src.kind {
-		case KindInt, KindBool:
-			v.pushNullBit(false)
-			v.Ints = append(v.Ints, src.Ints[i])
-			v.n++
-		case KindFloat:
-			v.pushNullBit(false)
-			v.Floats = append(v.Floats, src.Floats[i])
-			v.n++
-		case KindString:
-			v.pushNullBit(false)
-			v.Strs = append(v.Strs, src.Strs[i])
-			v.n++
-		}
-	}
-}
-
 // TruesInto appends to sel the indices of elements that are non-NULL and
 // boolean-true under Value.Bool semantics (numeric non-zero, non-empty
 // string), offset by base. It is the Filter operator's selection-vector

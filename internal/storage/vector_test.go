@@ -199,53 +199,6 @@ func TestVectorTruesInto(t *testing.T) {
 	}
 }
 
-func TestVectorGatherAndFromRowsSel(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 8; trial++ {
-		n := 1 + rng.Intn(100)
-		rows := make([]Row, n)
-		src := NewVector(KindFloat)
-		for i := range rows {
-			var val Value
-			switch rng.Intn(3) {
-			case 0:
-				val = Null
-			case 1:
-				val = FloatValue(rng.NormFloat64())
-			default:
-				if trial%2 == 0 {
-					val = StringValue("mix") // force degraded source half the time
-				} else {
-					val = FloatValue(math.Copysign(0, -1))
-				}
-			}
-			rows[i] = Row{val}
-			src.Append(val)
-		}
-		var sel []int32
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				sel = append(sel, int32(i))
-			}
-		}
-		var g, f Vector
-		g.Gather(src, sel)
-		f.FromRowsSel(rows, 0, KindFloat, sel)
-		if g.Len() != len(sel) || f.Len() != len(sel) {
-			t.Fatalf("trial %d: gather len %d fromRowsSel len %d want %d", trial, g.Len(), f.Len(), len(sel))
-		}
-		for j, i := range sel {
-			want := rows[i][0]
-			if got := g.Value(j); !sameValue(got, want) {
-				t.Fatalf("trial %d: Gather[%d]=%#v want %#v", trial, j, got, want)
-			}
-			if got := f.Value(j); !sameValue(got, want) {
-				t.Fatalf("trial %d: FromRowsSel[%d]=%#v want %#v", trial, j, got, want)
-			}
-		}
-	}
-}
-
 func TestVectorNullsInto(t *testing.T) {
 	v := NewVector(KindInt)
 	v.Append(IntValue(1))

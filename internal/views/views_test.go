@@ -42,7 +42,7 @@ func (f *fixture) makeView(t testing.TB, sql string) *views.View {
 		core.Kind == logical.KindLimit {
 		core = core.Child(0)
 	}
-	table, err := exec.Run(core, f.env)
+	table, err := exec.Run(core, f.env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestSubsumptionMatchWithResidual(t *testing.T) {
 			return v.Table, nil
 		},
 	}
-	got, err := exec.Run(rw, env)
+	got, err := exec.Run(rw, env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.Run(n, f.env)
+	want, err := exec.Run(n, f.env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestAggregateViewsMatchExactOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := plan.Child(0) // aggregate below the projection
-	table, err := exec.Run(agg, f.env)
+	table, err := exec.Run(agg, f.env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
