@@ -6,9 +6,9 @@ MODES := chaos crash serve benchexec benchgov scenarios cache endurance
 
 .PHONY: tier1 build vet test race bench soak govern lint $(MODES)
 
-# tier1 is the gate every change must pass: clean build, vet, the full
-# test suite under the race detector, and explicit runs of the
-# concurrent-serving soak, the crash-recovery regression, the
+# tier1 is the gate every change must pass: gofmt-clean sources, clean
+# build, vet, the full test suite under the race detector, and explicit
+# runs of the concurrent-serving soak, the crash-recovery regression, the
 # parallel-tuning determinism and concurrent what-if costing regressions,
 # the morsel-engine determinism regressions, the governance regressions
 # (cancellation storm, panic isolation), and the overload-plane
@@ -17,16 +17,18 @@ MODES := chaos crash serve benchexec benchgov scenarios cache endurance
 # regressions (self-healing repair, quarantine tombstones, audit
 # byte-identity, scrub-during-reorganize, scrub-during-recovery), and
 # the reuse-plane regressions (cache-hit digest identity, invalidation
-# edges, piggybacking), and the idle-plane byte-identity table (hedge,
-# audit, reuse and governance switched on but idle) — all race-enabled.
+# edges, piggybacking), the idle-plane byte-identity table (hedge,
+# audit, reuse and governance switched on but idle), and the per-variant
+# golden StateDigest table — all race-enabled.
 tier1:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -run 'TestServeSoak|TestServeMatchesSequentialRun|TestConcurrentWhatIfCostingDuringSoak|TestCancelFreesWorkersWithinBound|TestWorkerPanicIsolation|TestMetricsGovernanceCounters' -count 1 ./internal/serve/
 	$(GO) test -race -run 'TestBreakerHalfOpenContention|TestQuotaWeightedFairness|TestQuotaShedsAreTenantScoped|TestAdaptiveLimiter|TestOverloadPlaneDisabledIsNoOp' -count 1 ./internal/serve/
 	$(GO) test -race -run 'TestRecoverPerCrashSite|TestCleanShutdownByteIdentity|TestServeResumesOnRecoveredSystem|TestStateDigestIdenticalAcrossTuneWorkers|TestStateDigestIdenticalAcrossExecWorkers' -count 1 ./internal/multistore/
-	$(GO) test -race -run 'TestHedgeDigestIdentity|TestIdlePlanesByteIdentical|TestRetryBudgetCapsRecovery' -count 1 ./internal/multistore/
+	$(GO) test -race -run 'TestHedgeDigestIdentity|TestIdlePlanesByteIdentical|TestRetryBudgetCapsRecovery|TestStateDigestGolden' -count 1 ./internal/multistore/
 	$(GO) test -race -run 'TestAuditRepairsCorruptView|TestQuarantineTombstoneBlocksCapture|TestEvictThenQuarantineNoLRURetention' -count 1 ./internal/multistore/
 	$(GO) test -race -run 'TestScrubDuringReorganize|TestScrubDuringRecovery|TestBackgroundScrubberUnderLoad' -count 1 ./internal/audit/
 	$(GO) test -race -run 'TestReuse' -count 1 ./internal/multistore/

@@ -156,4 +156,3 @@ func TestMorselEngineScaleFactorPropagation(t *testing.T) {
 		}
 	}
 }
-

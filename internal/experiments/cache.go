@@ -16,7 +16,7 @@ import (
 	"sync"
 	"time"
 
-	"miso/internal/data"
+	"miso/internal/faults"
 	"miso/internal/multistore"
 	"miso/internal/serve"
 	"miso/internal/storage"
@@ -105,27 +105,17 @@ func (r *CacheRows) WriteText(w io.Writer) {
 		r.DigestsMatch, r.ReorgHookFired, r.EntriesAfterSoak, r.EntriesPostReorg)
 }
 
-// newCacheSystem builds an MS-MISO backend for the soak. Automatic
-// reorganization is disabled on both sides so the two runs execute the
-// same schedule against a stable design (the drain-barrier invalidation
-// is exercised explicitly after the timed section).
+// newCacheSystem builds an MS-MISO backend for the soak, with the fault
+// plane off whatever the sweep rate. Automatic reorganization is disabled
+// on both sides so the two runs execute the same schedule against a
+// stable design (the drain-barrier invalidation is exercised explicitly
+// after the timed section).
 func (cc CacheConfig) newCacheSystem(enabled bool) (*multistore.System, error) {
-	c := cc.Exp
-	cat, err := data.Generate(c.Data)
-	if err != nil {
-		return nil, err
-	}
-	cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
-	cfg.SetBudgets(cat, c.BudgetMultiple, c.TransferBudget)
-	cfg.Tuner.TuneWorkers = c.TuneWorkers
-	cfg.ExecWorkers = c.ExecWorkers
-	cfg.ReorgEvery = 0
-	cfg.Reuse = multistore.ReuseConfig{Enabled: enabled, CacheBytes: cc.CacheBytes}
-	sys := multistore.New(cfg, cat)
-	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
-		return nil, err
-	}
-	return sys, nil
+	return cc.Exp.newSystem(multistore.VariantMSMiso, func(mc *multistore.Config) {
+		mc.Faults = faults.Profile{}
+		mc.ReorgEvery = 0
+		mc.Reuse = multistore.ReuseConfig{Enabled: enabled, CacheBytes: cc.CacheBytes}
+	})
 }
 
 // cacheSoakRun drives sessions×rounds workload passes through srv. Every

@@ -149,7 +149,7 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 		// row doubles as the journaling-overhead control: its TTI must equal
 		// the rate-0 seq row (journaling charges no simulated time).
 		p := chaosCrashProfile(rate)
-		mcfg, cat, err := c.crashConfig(multistore.VariantMSMiso, p, seed)
+		mcfg, cat, err := c.systemConfig(multistore.VariantMSMiso, crashPlane(p, seed))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: chaos crash rate %.2f: %w", rate, err)
 		}
@@ -199,12 +199,8 @@ func Chaos(cfg Config) (*ChaosResult, error) {
 // audit plane failed to converge and the sweep errors out.
 func auditChaosPoint(c Config, rate float64, seed int64) (ChaosPoint, error) {
 	p := faults.Profile{}.With(faults.SiteViewRot, rate)
-	mcfg, cat, err := c.crashConfig(multistore.VariantMSMiso, p, seed)
+	sys, err := c.newSystem(multistore.VariantMSMiso, crashPlane(p, seed))
 	if err != nil {
-		return ChaosPoint{}, err
-	}
-	sys := multistore.New(mcfg, cat)
-	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
 		return ChaosPoint{}, err
 	}
 	scrub := audit.New(sys, audit.Config{

@@ -5,8 +5,32 @@ import (
 	"strings"
 	"testing"
 
+	"miso/internal/exec"
+	"miso/internal/faults"
+	"miso/internal/multistore"
 	"miso/internal/workload"
 )
+
+// TestCrashConfigCarriesWorkerCounts pins that the crash harness builds
+// its config through the shared constructor: the worker flags reach the
+// system (`-mode crash -execworkers -1` runs the serial engine) alongside
+// the crash plane's fault profile and checkpoint cadence.
+func TestCrashConfigCarriesWorkerCounts(t *testing.T) {
+	c := small()
+	c.TuneWorkers = 3
+	c.ExecWorkers = exec.SerialWorkers
+	p := faults.Profile{}.With(faults.SiteCrashServe, 0.1)
+	mc, _, err := c.systemConfig(multistore.VariantMSMiso, crashPlane(p, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mc.ExecWorkers != exec.SerialWorkers || mc.Tuner.TuneWorkers != 3 {
+		t.Errorf("workers not carried: exec %d, tune %d", mc.ExecWorkers, mc.Tuner.TuneWorkers)
+	}
+	if mc.Faults != p || mc.FaultSeed != 7 || mc.CheckpointEvery != crashCheckpointEvery {
+		t.Errorf("crash plane not applied: %+v seed %d checkpoint every %d", mc.Faults, mc.FaultSeed, mc.CheckpointEvery)
+	}
+}
 
 // TestCrashSweepShape runs the full per-site crash sweep at small scale:
 // every row must complete the workload, recover every death, and pass the

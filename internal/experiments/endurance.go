@@ -21,9 +21,7 @@ import (
 	"time"
 
 	"miso/internal/audit"
-	"miso/internal/data"
 	"miso/internal/faults"
-	"miso/internal/govern"
 	"miso/internal/multistore"
 	"miso/internal/serve"
 	"miso/internal/workload"
@@ -210,21 +208,14 @@ func adversarialSQL(rng *rand.Rand, sqls []string, i int) string {
 // runEndurance executes one closed-loop run (rot armed or not) and
 // leaves the system and scrubber alive for the caller's exit audits.
 func (cfg EnduranceConfig) runEndurance(rotRate float64) (*enduranceOutcome, error) {
-	cat, err := data.Generate(cfg.Data)
+	sys, err := cfg.newSystem(multistore.VariantMSMiso, func(mc *multistore.Config) {
+		mc.Faults = faults.Profile{}.With(faults.SiteViewRot, rotRate)
+		mc.FaultSeed = cfg.Seed
+		mc.CheckpointEvery = 8
+		// Hedge-triggering slow shapes only matter if hedging is armed.
+		mc.Hedge = multistore.HedgeConfig{Enabled: true}
+	})
 	if err != nil {
-		return nil, err
-	}
-	mc := multistore.DefaultConfig(multistore.VariantMSMiso)
-	mc.SetBudgets(cat, cfg.BudgetMultiple, cfg.TransferBudget)
-	mc.Faults = faults.Profile{}.With(faults.SiteViewRot, rotRate)
-	mc.FaultSeed = cfg.Seed
-	mc.Tuner.TuneWorkers = cfg.TuneWorkers
-	mc.ExecWorkers = cfg.ExecWorkers
-	mc.CheckpointEvery = 8
-	// Hedge-triggering slow shapes only matter if hedging is armed.
-	mc.Hedge = multistore.HedgeConfig{Enabled: true}
-	sys := multistore.New(mc, cat)
-	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
 		return nil, err
 	}
 
@@ -305,10 +296,7 @@ func (cfg EnduranceConfig) runEndurance(rotRate float64) (*enduranceOutcome, err
 					out.served++
 				case errors.Is(err, serve.ErrShed):
 					out.shed++
-				case errors.Is(err, context.DeadlineExceeded),
-					errors.Is(err, context.Canceled),
-					errors.Is(err, govern.ErrMemLimit),
-					errors.Is(err, govern.ErrInternal):
+				case governedOutcome(err):
 					out.failed++
 				default:
 					out.failed++

@@ -19,6 +19,7 @@ import (
 	"miso/internal/faults"
 	"miso/internal/multistore"
 	"miso/internal/optimizer"
+	"miso/internal/storage"
 	"miso/internal/workload"
 )
 
@@ -89,11 +90,14 @@ func Small() Config {
 	}
 }
 
-// newSystem builds a system for the variant under this configuration.
-func (c Config) newSystem(v multistore.Variant) (*multistore.System, error) {
+// systemConfig generates the dataset and builds the multistore config for
+// the variant under this configuration: the storage and transfer budgets,
+// the uniform fault profile and seed, and the worker counts. mut (nil:
+// none) then adjusts the config for a harness's own planes.
+func (c Config) systemConfig(v multistore.Variant, mut func(*multistore.Config)) (multistore.Config, *storage.Catalog, error) {
 	cat, err := data.Generate(c.Data)
 	if err != nil {
-		return nil, err
+		return multistore.Config{}, nil, err
 	}
 	cfg := multistore.DefaultConfig(v)
 	cfg.SetBudgets(cat, c.BudgetMultiple, c.TransferBudget)
@@ -101,6 +105,19 @@ func (c Config) newSystem(v multistore.Variant) (*multistore.System, error) {
 	cfg.FaultSeed = c.FaultSeed
 	cfg.Tuner.TuneWorkers = c.TuneWorkers
 	cfg.ExecWorkers = c.ExecWorkers
+	if mut != nil {
+		mut(&cfg)
+	}
+	return cfg, cat, nil
+}
+
+// newSystem builds a system for the variant under this configuration,
+// adjusted by mut (nil: none), with the workload registered as its future.
+func (c Config) newSystem(v multistore.Variant, mut func(*multistore.Config)) (*multistore.System, error) {
+	cfg, cat, err := c.systemConfig(v, mut)
+	if err != nil {
+		return nil, err
+	}
 	sys := multistore.New(cfg, cat)
 	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
 		return nil, err
@@ -110,7 +127,7 @@ func (c Config) newSystem(v multistore.Variant) (*multistore.System, error) {
 
 // runWorkload executes the full 32-query workload on a fresh system.
 func (c Config) runWorkload(v multistore.Variant) (*multistore.System, error) {
-	sys, err := c.newSystem(v)
+	sys, err := c.newSystem(v, nil)
 	if err != nil {
 		return nil, err
 	}

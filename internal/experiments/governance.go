@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"miso/internal/data"
 	"miso/internal/faults"
 	"miso/internal/govern"
 	"miso/internal/multistore"
@@ -40,26 +39,14 @@ func governProfile(rate float64) faults.Profile {
 		With(faults.SiteSlowMorsel, rate)
 }
 
-// newGovernSystem builds a system with an explicit (exec-plane) fault
-// profile and per-query memory limit, where newSystem only takes a uniform
-// store-level rate.
-func (c Config) newGovernSystem(v multistore.Variant, prof faults.Profile, seed int64, memLimit int64) (*multistore.System, error) {
-	cat, err := data.Generate(c.Data)
-	if err != nil {
-		return nil, err
+// governPlane replaces the uniform store-level fault rate with an explicit
+// (exec-plane) profile and seed, and sets the per-query memory limit.
+func governPlane(prof faults.Profile, seed int64, memLimit int64) func(*multistore.Config) {
+	return func(mc *multistore.Config) {
+		mc.Faults = prof
+		mc.FaultSeed = seed
+		mc.MemLimitBytes = memLimit
 	}
-	cfg := multistore.DefaultConfig(v)
-	cfg.SetBudgets(cat, c.BudgetMultiple, c.TransferBudget)
-	cfg.Faults = prof
-	cfg.FaultSeed = seed
-	cfg.Tuner.TuneWorkers = c.TuneWorkers
-	cfg.ExecWorkers = c.ExecWorkers
-	cfg.MemLimitBytes = memLimit
-	sys := multistore.New(cfg, cat)
-	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
-		return nil, err
-	}
-	return sys, nil
 }
 
 // governedOutcome reports whether err is an expected governed outcome of a
@@ -135,7 +122,7 @@ func governStorm(srv *serve.Server, sessions, queries int) error {
 // the serving frontend with exec-plane faults armed at the sweep rate and
 // the cancellation pattern of governStorm.
 func governChaosPoint(c Config, rate float64, seed int64) (ChaosPoint, error) {
-	sys, err := c.newGovernSystem(multistore.VariantMSMiso, governProfile(rate), seed, 0)
+	sys, err := c.newSystem(multistore.VariantMSMiso, governPlane(governProfile(rate), seed, 0))
 	if err != nil {
 		return ChaosPoint{}, err
 	}
@@ -261,8 +248,8 @@ func BenchGovern(c Config) (*GovernRows, error) {
 
 	// 1. Cancellation storm: every morsel stalls (up to 2ms), so queries
 	// are long enough that mid-flight cancellation is the common case.
-	stormSys, err := c.newGovernSystem(multistore.VariantMSMiso,
-		faults.Profile{}.With(faults.SiteSlowMorsel, 1), 42, 0)
+	stormSys, err := c.newSystem(multistore.VariantMSMiso,
+		governPlane(faults.Profile{}.With(faults.SiteSlowMorsel, 1), 42, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +273,7 @@ func BenchGovern(c Config) (*GovernRows, error) {
 	// every query's result is position-independent: the fault-free
 	// baseline digests are the ground truth for any concurrent
 	// interleaving of the faulted run.
-	baseSys, err := c.newGovernSystem(multistore.VariantHVOnly, faults.Profile{}, 42, 0)
+	baseSys, err := c.newSystem(multistore.VariantHVOnly, governPlane(faults.Profile{}, 42, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -298,8 +285,8 @@ func BenchGovern(c Config) (*GovernRows, error) {
 		}
 		baseline[sql] = storage.ChecksumTable(r.Result)
 	}
-	panicSys, err := c.newGovernSystem(multistore.VariantHVOnly,
-		faults.Profile{}.With(faults.SiteExecPanic, 0.01), 42, 0)
+	panicSys, err := c.newSystem(multistore.VariantHVOnly,
+		governPlane(faults.Profile{}.With(faults.SiteExecPanic, 0.01), 42, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +338,7 @@ func BenchGovern(c Config) (*GovernRows, error) {
 	rep.PanicProcessSurvived = true // reaching here means no panic escaped
 
 	// 3. Memory budget: a limit far below any query's working set.
-	memSys, err := c.newGovernSystem(multistore.VariantMSMiso, faults.Profile{}, 42, 64<<10)
+	memSys, err := c.newSystem(multistore.VariantMSMiso, governPlane(faults.Profile{}, 42, 64<<10))
 	if err != nil {
 		return nil, err
 	}
@@ -365,8 +352,9 @@ func BenchGovern(c Config) (*GovernRows, error) {
 	}
 	rep.MemAborted = memSys.Metrics().MemAborted
 
-	// 4. Governance-off identity.
-	plainSys, err := c.newSystem(multistore.VariantMSMiso)
+	// 4. Governance-off identity. Both sides run the same fault profile
+	// and seed, so only the ledger differs.
+	plainSys, err := c.newSystem(multistore.VariantMSMiso, governPlane(faults.Profile{}, 42, 0))
 	if err != nil {
 		return nil, err
 	}
@@ -374,7 +362,7 @@ func BenchGovern(c Config) (*GovernRows, error) {
 	if err != nil {
 		return nil, err
 	}
-	govSys, err := c.newGovernSystem(multistore.VariantMSMiso, faults.Profile{}, 42, 1<<40)
+	govSys, err := c.newSystem(multistore.VariantMSMiso, governPlane(faults.Profile{}, 42, 1<<40))
 	if err != nil {
 		return nil, err
 	}

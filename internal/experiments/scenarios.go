@@ -14,13 +14,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
 	"miso/internal/data"
 	"miso/internal/faults"
-	"miso/internal/govern"
 	"miso/internal/multistore"
 	"miso/internal/serve"
 	"miso/internal/workload"
@@ -232,29 +230,6 @@ type phaseSpec struct {
 	sqlOffset int
 }
 
-// newScenarioSystem builds a fresh backend, letting the scenario mutate
-// the multistore config (fault profile, hedging, retry budget) first.
-func (c ScenarioConfig) newScenarioSystem(mut func(*multistore.Config)) (*multistore.System, error) {
-	cat, err := data.Generate(c.Data)
-	if err != nil {
-		return nil, err
-	}
-	cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
-	cfg.SetBudgets(cat, c.BudgetMultiple, c.TransferBudget)
-	cfg.Faults = faults.Uniform(c.FaultRate)
-	cfg.FaultSeed = c.FaultSeed
-	cfg.Tuner.TuneWorkers = c.TuneWorkers
-	cfg.ExecWorkers = c.ExecWorkers
-	if mut != nil {
-		mut(&cfg)
-	}
-	sys := multistore.New(cfg, cat)
-	if err := sys.ProvideFutureWorkload(workload.SQLs()); err != nil {
-		return nil, err
-	}
-	return sys, nil
-}
-
 // calibrate measures the backend's serial query throughput (the backend
 // executes one query at a time, so offered rates are set relative to
 // 1/meanLatency regardless of worker count).
@@ -336,10 +311,7 @@ func (pr *phaseRunner) submit(tenant, sql string, acc *phaseAcc, all *sync.WaitG
 		case errors.Is(err, serve.ErrShed):
 			acc.shed++
 			acc.tenantShed[tenant]++
-		case errors.Is(err, context.DeadlineExceeded),
-			errors.Is(err, context.Canceled),
-			errors.Is(err, govern.ErrMemLimit),
-			errors.Is(err, govern.ErrInternal):
+		case governedOutcome(err):
 			acc.failed++
 		default:
 			acc.failed++
@@ -420,11 +392,8 @@ func (pr *phaseRunner) run(phases []phaseSpec) ([]PhaseResult, error) {
 		res.GoodputQPS = float64(acc.served) / pr.dur.Seconds()
 		latencies := acc.latencies
 		acc.mu.Unlock()
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		if n := len(latencies); n > 0 {
-			res.P50Ms = float64(latencies[n/2]) / float64(time.Millisecond)
-			res.P99Ms = float64(latencies[n*99/100]) / float64(time.Millisecond)
-		}
+		res.P50Ms = float64(durPercentile(latencies, 50)) / float64(time.Millisecond)
+		res.P99Ms = float64(durPercentile(latencies, 99)) / float64(time.Millisecond)
 		results[pi] = res
 
 		pr.mu.Lock()
@@ -518,7 +487,7 @@ func RunScenarios(cfg ScenarioConfig) (*ScenarioRows, error) {
 
 	// Calibrate once on a throwaway system: offered rates for every
 	// scenario are multiples of the backend's serial capacity.
-	calSys, err := cfg.newScenarioSystem(nil)
+	calSys, err := cfg.newSystem(multistore.VariantMSMiso, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -566,7 +535,7 @@ func finishScenario(srv *serve.Server, sys *multistore.System, phases []PhaseRes
 }
 
 func (cfg ScenarioConfig) runFlashCrowd(capQPS float64) (*ScenarioResult, error) {
-	sys, err := cfg.newScenarioSystem(nil)
+	sys, err := cfg.newSystem(multistore.VariantMSMiso, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -588,7 +557,7 @@ func (cfg ScenarioConfig) runFlashCrowd(capQPS float64) (*ScenarioResult, error)
 }
 
 func (cfg ScenarioConfig) runZipfSkew(capQPS float64) (*ScenarioResult, error) {
-	sys, err := cfg.newScenarioSystem(nil)
+	sys, err := cfg.newSystem(multistore.VariantMSMiso, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -627,7 +596,7 @@ func (cfg ScenarioConfig) runZipfSkew(capQPS float64) (*ScenarioResult, error) {
 }
 
 func (cfg ScenarioConfig) runDiurnal(capQPS float64) (*ScenarioResult, error) {
-	sys, err := cfg.newScenarioSystem(nil)
+	sys, err := cfg.newSystem(multistore.VariantMSMiso, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -653,7 +622,7 @@ func (cfg ScenarioConfig) runDiurnal(capQPS float64) (*ScenarioResult, error) {
 }
 
 func (cfg ScenarioConfig) runDriftBurst(capQPS float64) (*ScenarioResult, error) {
-	sys, err := cfg.newScenarioSystem(nil)
+	sys, err := cfg.newSystem(multistore.VariantMSMiso, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -676,7 +645,7 @@ func (cfg ScenarioConfig) runDriftBurst(capQPS float64) (*ScenarioResult, error)
 }
 
 func (cfg ScenarioConfig) runETLStorm(capQPS float64) (*ScenarioResult, error) {
-	sys, err := cfg.newScenarioSystem(nil)
+	sys, err := cfg.newSystem(multistore.VariantMSMiso, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -697,7 +666,7 @@ func (cfg ScenarioConfig) runETLStorm(capQPS float64) (*ScenarioResult, error) {
 }
 
 func (cfg ScenarioConfig) runDWBrownout(capQPS float64) (*ScenarioResult, error) {
-	sys, err := cfg.newScenarioSystem(func(mc *multistore.Config) {
+	sys, err := cfg.newSystem(multistore.VariantMSMiso, func(mc *multistore.Config) {
 		// DW-side faults force retry exhaustion on a fraction of split
 		// plans; hedging (aggressive threshold so every DW phase races a
 		// shadow) converts those fallbacks into committed shadows.

@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
-	"miso/internal/govern"
 	"miso/internal/multistore"
 	"miso/internal/serve"
 	"miso/internal/workload"
@@ -79,7 +76,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	if cfg.Queries <= 0 {
 		cfg.Queries = len(workload.SQLs())
 	}
-	sys, err := cfg.Config.newSystem(cfg.Variant)
+	sys, err := cfg.Config.newSystem(cfg.Variant, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -113,11 +110,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 				switch {
 				case err == nil:
 					latencies = append(latencies, lat)
-				case errors.Is(err, serve.ErrShed),
-					errors.Is(err, context.DeadlineExceeded),
-					errors.Is(err, context.Canceled),
-					errors.Is(err, govern.ErrMemLimit),
-					errors.Is(err, govern.ErrInternal):
+				case governedOutcome(err):
 					// Expected serving outcomes — sheds, deadline/cancel
 					// abandons, memory-budget aborts, contained panics —
 					// counted by the server.
@@ -160,11 +153,8 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	if wall > 0 {
 		res.QPS = float64(m.Completed) / wall.Seconds()
 	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	if n := len(latencies); n > 0 {
-		res.P50 = latencies[n/2]
-		res.P99 = latencies[n*99/100]
-	}
+	res.P50 = durPercentile(latencies, 50)
+	res.P99 = durPercentile(latencies, 99)
 	return res, nil
 }
 

@@ -11,19 +11,19 @@ import (
 	"miso/internal/workload"
 )
 
-// runHedgeWorkload replays the full 32-query workload on an MS-MISO
+// runHedgeWorkload replays the full 32-query workload on a variant v
 // system under a DW-side fault storm that forces retry-exhaustion
 // fallbacks, with or without hedged DW execution, and returns the durable
 // digest, per-query result checksums, and the final metrics. The hedge
 // threshold is forced to fire immediately so every split plan races a
 // shadow.
-func runHedgeWorkload(t *testing.T, hedge bool) (uint64, []uint64, multistore.Metrics) {
+func runHedgeWorkload(t *testing.T, v multistore.Variant, hedge bool) (uint64, []uint64, multistore.Metrics) {
 	t.Helper()
 	cat, err := data.Generate(data.SmallConfig())
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	cfg := multistore.DefaultConfig(multistore.VariantMSMiso)
+	cfg := multistore.DefaultConfig(v)
 	cfg.SetBudgets(cat, 2.0, 10<<30)
 	// A high DW-query fault rate with a short retry policy exhausts a
 	// fraction of split plans, exercising the fallback path both ways.
@@ -55,30 +55,37 @@ func runHedgeWorkload(t *testing.T, hedge bool) (uint64, []uint64, multistore.Me
 // the same fault-storm workload must produce byte-identical query results
 // and byte-identical durable state whether hedging is on (every DW phase
 // races an HV shadow, winners committed in place of serial fallbacks) or
-// off. Run with -race, this also exercises the shadow's concurrency.
+// off. It covers every variant whose split plans run through the shared
+// executor with a distinct tuning policy: MS-MISO, and MS-LRU with its
+// passive retention. Run with -race, this also exercises the shadow's
+// concurrency.
 func TestHedgeDigestIdentity(t *testing.T) {
-	offDigest, offSums, offM := runHedgeWorkload(t, false)
-	onDigest, onSums, onM := runHedgeWorkload(t, true)
+	for _, v := range []multistore.Variant{multistore.VariantMSMiso, multistore.VariantMSLru} {
+		t.Run(string(v), func(t *testing.T) {
+			offDigest, offSums, offM := runHedgeWorkload(t, v, false)
+			onDigest, onSums, onM := runHedgeWorkload(t, v, true)
 
-	if offM.Fallbacks == 0 {
-		t.Fatalf("fault storm produced no fallbacks; the test exercises nothing")
+			if offM.Fallbacks == 0 {
+				t.Fatalf("fault storm produced no fallbacks; the test exercises nothing")
+			}
+			if offM.Fallbacks != onM.Fallbacks {
+				t.Fatalf("fallbacks diverged: off %d, on %d", offM.Fallbacks, onM.Fallbacks)
+			}
+			for i := range offSums {
+				if offSums[i] != onSums[i] {
+					t.Errorf("query %d result checksum diverged: off %x, on %x", i, offSums[i], onSums[i])
+				}
+			}
+			if offDigest != onDigest {
+				t.Fatalf("durable-state digest diverged: hedge off %x, hedge on %x", offDigest, onDigest)
+			}
+			// The hedge plane must actually have engaged (threshold fires
+			// immediately), and its counters must stay out of the digest.
+			if onM.Hedges == 0 {
+				t.Fatalf("hedging enabled with an always-fire threshold but no hedges armed")
+			}
+			t.Logf("hedges %d, wins %d, canceled %d over %d fallbacks",
+				onM.Hedges, onM.HedgeWins, onM.HedgesCanceled, onM.Fallbacks)
+		})
 	}
-	if offM.Fallbacks != onM.Fallbacks {
-		t.Fatalf("fallbacks diverged: off %d, on %d", offM.Fallbacks, onM.Fallbacks)
-	}
-	for i := range offSums {
-		if offSums[i] != onSums[i] {
-			t.Errorf("query %d result checksum diverged: off %x, on %x", i, offSums[i], onSums[i])
-		}
-	}
-	if offDigest != onDigest {
-		t.Fatalf("durable-state digest diverged: hedge off %x, hedge on %x", offDigest, onDigest)
-	}
-	// The hedge plane must actually have engaged (threshold fires
-	// immediately), and its counters must stay out of the digest.
-	if onM.Hedges == 0 {
-		t.Fatalf("hedging enabled with an always-fire threshold but no hedges armed")
-	}
-	t.Logf("hedges %d, wins %d, canceled %d over %d fallbacks",
-		onM.Hedges, onM.HedgeWins, onM.HedgesCanceled, onM.Fallbacks)
 }

@@ -638,27 +638,16 @@ func (s *System) RunContext(ctx context.Context, sql string) (*QueryReport, erro
 // pre-reuse RunContext flow, with the semantic cache consulted after plan
 // build and populated after successful execution when the plane is on.
 func (s *System) runLocked(ctx context.Context, sql string) (*QueryReport, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("multistore: query not started: %w", err)
-	}
-	defer s.attachLedger()()
-	defer s.attachBudget()()
-	s.beginOp()
-	s.quarantineStale()
-	s.maybeRot()
-	plan, err := s.builder.BuildSQL(sql)
+	entry, detach, err := s.startQuery(ctx, sql)
+	defer detach()
 	if err != nil {
 		return nil, err
-	}
-	entry := history.Entry{Seq: s.seq, SQL: sql, Plan: plan}
-	if failed, _ := s.inj.Check(faults.SiteCrashServe); failed {
-		return nil, fmt.Errorf("multistore: query %d: %w", entry.Seq, faults.Crash(faults.SiteCrashServe))
 	}
 
 	var fp mqo.Fingerprint
 	var fpOK bool
 	if s.reuse != nil {
-		if fp, fpOK = s.fingerprintLocked(plan); fpOK {
+		if fp, fpOK = s.fingerprintLocked(entry.Plan); fpOK {
 			if t, ok := s.reuse.cache.Get(fp); ok {
 				s.metrics.CacheHits++
 				return s.bookLocked(entry, &QueryReport{
@@ -710,47 +699,47 @@ func (s *System) bookLocked(entry history.Entry, rep *QueryReport) (*QueryReport
 func (s *System) RunDegraded(ctx context.Context, sql string) (*QueryReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("multistore: query not started: %w", err)
+	entry, detach, err := s.startQuery(ctx, sql)
+	defer detach()
+	if err != nil {
+		return nil, err
 	}
-	defer s.attachLedger()()
-	defer s.attachBudget()()
+	plan := optimizer.RewriteWithViews(entry.Plan, s.hv.Views)
+	rep, err := s.runInHV(ctx, entry, plan, &QueryReport{Seq: entry.Seq, SQL: sql, Degraded: true})
+	if err != nil {
+		return nil, err
+	}
+	s.metrics.Degraded++
+	return s.bookLocked(entry, rep)
+}
+
+// startQuery is the prologue of every query path (callers hold s.mu): it
+// refuses a query whose context is already done, attaches the per-query
+// memory ledger and retry budget, opens the durable operation, applies
+// staleness quarantine and injected rot, builds the plan, and checks the
+// serve crash site. The caller defers the returned detach, which is
+// non-nil even on error.
+func (s *System) startQuery(ctx context.Context, sql string) (history.Entry, func(), error) {
+	if err := ctx.Err(); err != nil {
+		return history.Entry{}, func() {}, fmt.Errorf("multistore: query not started: %w", err)
+	}
+	detachLedger := s.attachLedger()
+	detachBudget := s.attachBudget()
+	detach := func() {
+		detachBudget()
+		detachLedger()
+	}
 	s.beginOp()
 	s.quarantineStale()
 	s.maybeRot()
 	plan, err := s.builder.BuildSQL(sql)
 	if err != nil {
-		return nil, err
+		return history.Entry{}, detach, err
 	}
-	entry := history.Entry{Seq: s.seq, SQL: sql, Plan: plan}
 	if failed, _ := s.inj.Check(faults.SiteCrashServe); failed {
-		return nil, fmt.Errorf("multistore: query %d: %w", entry.Seq, faults.Crash(faults.SiteCrashServe))
+		return history.Entry{}, detach, fmt.Errorf("multistore: query %d: %w", s.seq, faults.Crash(faults.SiteCrashServe))
 	}
-	rewritten := optimizer.RewriteWithViews(plan, s.hv.Views)
-	res, err := s.hv.ExecuteContext(ctx, rewritten, entry.Seq)
-	if err != nil {
-		if isAbortErr(err) {
-			return nil, s.abandon(err, &QueryReport{Seq: entry.Seq, SQL: sql}, entry.Seq)
-		}
-		return nil, fmt.Errorf("multistore: degraded query %d in HV: %w", entry.Seq, err)
-	}
-	rep := &QueryReport{
-		Seq: entry.Seq, SQL: sql,
-		HVSeconds:       res.Seconds,
-		RecoverySeconds: res.RecoverySeconds,
-		Retries:         res.Retries,
-		HVOps:           countOps(rewritten),
-		HVOnly:          true,
-		Degraded:        true,
-		UsedViews:       s.markUsedViews(rewritten, entry.Seq),
-		NewViews:        len(res.NewViews),
-		ResultRows:      res.Table.NumRows(),
-		Result:          res.Table,
-	}
-	s.metrics.HVExe += res.Seconds
-	s.addRecovery(res.RecoverySeconds, res.Retries)
-	s.metrics.Degraded++
-	return s.bookLocked(entry, rep)
+	return history.Entry{Seq: s.seq, SQL: sql, Plan: plan}, detach, nil
 }
 
 // isCtxErr reports whether err stems from context cancellation or an
@@ -835,18 +824,13 @@ func (s *System) abandon(cause error, rep *QueryReport, seq int) error {
 func (s *System) runVariant(ctx context.Context, e history.Entry) (*QueryReport, error) {
 	switch s.cfg.Variant {
 	case VariantHVOnly:
-		rep, err := s.runHVOnly(ctx, e)
-		if err != nil {
-			return nil, err
-		}
-		s.hv.Views.Reset() // no retention
-		return rep, nil
+		return s.runHVOnly(ctx, e)
 	case VariantHVOp:
 		return s.runHVOp(ctx, e)
 	case VariantDWOnly:
 		return s.runDWOnly(ctx, e)
 	case VariantMSBasic:
-		rep, err := s.runMultistore(ctx, e, optimizer.EmptyDesign())
+		rep, err := s.runMultistore(ctx, e, optimizer.EmptyDesign(), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -860,14 +844,14 @@ func (s *System) runVariant(ctx context.Context, e history.Entry) (*QueryReport,
 				return nil, err
 			}
 		}
-		return s.runMultistore(ctx, e, s.design())
+		return s.runMultistore(ctx, e, s.design(), nil)
 	case VariantMSOra:
 		if s.reorgDue() {
 			if err := s.reorg(s.oracleWindow()); err != nil {
 				return nil, err
 			}
 		}
-		return s.runMultistore(ctx, e, s.design())
+		return s.runMultistore(ctx, e, s.design(), nil)
 	case VariantMSOff:
 		if !s.offTuned {
 			if err := s.offlineTune(); err != nil {
@@ -875,7 +859,7 @@ func (s *System) runVariant(ctx context.Context, e history.Entry) (*QueryReport,
 			}
 			s.offTuned = true
 		}
-		rep, err := s.runMultistore(ctx, e, s.design())
+		rep, err := s.runMultistore(ctx, e, s.design(), nil)
 		if err != nil {
 			return nil, err
 		}

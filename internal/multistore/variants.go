@@ -16,57 +16,52 @@ import (
 	"miso/internal/views"
 )
 
-// runHVOnly executes the whole query in HV with no views.
+// runHVOnly executes the whole query in HV and retains no views.
 func (s *System) runHVOnly(ctx context.Context, e history.Entry) (*QueryReport, error) {
-	res, err := s.hv.ExecuteContext(ctx, e.Plan, e.Seq)
+	rep, err := s.runInHV(ctx, e, e.Plan, &QueryReport{Seq: e.Seq, SQL: e.SQL})
 	if err != nil {
-		if isAbortErr(err) {
-			return nil, s.abandon(err, &QueryReport{}, e.Seq)
-		}
-		return nil, fmt.Errorf("multistore: query %d in HV: %w", e.Seq, err)
+		return nil, err
 	}
-	s.metrics.HVExe += res.Seconds
-	s.addRecovery(res.RecoverySeconds, res.Retries)
-	return &QueryReport{
-		Seq: e.Seq, SQL: e.SQL,
-		HVSeconds:       res.Seconds,
-		RecoverySeconds: res.RecoverySeconds,
-		Retries:         res.Retries,
-		HVOps:           countOps(e.Plan),
-		HVOnly:          true,
-		NewViews:        len(res.NewViews),
-		ResultRows:      res.Table.NumRows(),
-		Result:          res.Table,
-	}, nil
+	s.hv.Views.Reset()
+	return rep, nil
 }
 
 // runHVOp executes in HV, reusing and retaining opportunistic views under
 // an LRU policy within the HV storage budget.
 func (s *System) runHVOp(ctx context.Context, e history.Entry) (*QueryReport, error) {
 	plan := optimizer.RewriteWithViews(e.Plan, s.hv.Views)
+	rep, err := s.runInHV(ctx, e, plan, &QueryReport{Seq: e.Seq, SQL: e.SQL})
+	if err != nil {
+		return nil, err
+	}
+	views.EvictLRU(s.hv.Views, s.cfg.Tuner.Bh)
+	return rep, nil
+}
+
+// runInHV executes plan entirely in HV and books it into rep: the
+// execution is charged to HVEXE and its stage retries to RECOVERY, the
+// views it reads are marked used, and a governed abort is booked by
+// abandon.
+func (s *System) runInHV(ctx context.Context, e history.Entry, plan *logical.Node, rep *QueryReport) (*QueryReport, error) {
 	res, err := s.hv.ExecuteContext(ctx, plan, e.Seq)
 	if err != nil {
 		if isAbortErr(err) {
-			return nil, s.abandon(err, &QueryReport{}, e.Seq)
+			return nil, s.abandon(err, rep, e.Seq)
 		}
 		return nil, fmt.Errorf("multistore: query %d in HV: %w", e.Seq, err)
 	}
-	used := s.markUsedViews(plan, e.Seq)
-	views.EvictLRU(s.hv.Views, s.cfg.Tuner.Bh)
+	rep.HVSeconds = res.Seconds
+	rep.RecoverySeconds = res.RecoverySeconds
+	rep.Retries = res.Retries
+	rep.HVOps = countOps(plan)
+	rep.HVOnly = true
+	rep.NewViews = len(res.NewViews)
+	rep.UsedViews = s.markUsedViews(plan, e.Seq)
+	rep.ResultRows = res.Table.NumRows()
+	rep.Result = res.Table
 	s.metrics.HVExe += res.Seconds
 	s.addRecovery(res.RecoverySeconds, res.Retries)
-	return &QueryReport{
-		Seq: e.Seq, SQL: e.SQL,
-		HVSeconds:       res.Seconds,
-		RecoverySeconds: res.RecoverySeconds,
-		Retries:         res.Retries,
-		HVOps:           countOps(plan),
-		HVOnly:          true,
-		UsedViews:       used,
-		NewViews:        len(res.NewViews),
-		ResultRows:      res.Table.NumRows(),
-		Result:          res.Table,
-	}, nil
+	return rep, nil
 }
 
 // runDWOnly serves the query entirely from DW after the one-time ETL.
@@ -108,35 +103,19 @@ func (s *System) runDWOnly(ctx context.Context, e history.Entry) (*QueryReport, 
 }
 
 // runMultistore executes the optimizer's chosen split plan. Migrated
-// working sets live in DW temp space for the duration of the query only;
-// HV by-products accumulate in the store and callers that do not retain
-// them (MS-BASIC, MS-OFF) reset or trim the HV view set afterwards.
-func (s *System) runMultistore(ctx context.Context, e history.Entry, d optimizer.Design) (*QueryReport, error) {
+// working sets live in DW temp space for the duration of the query only,
+// unless retain keeps them: when non-nil it is called with each cut's
+// working set once its transfer commits. HV by-products accumulate in the
+// store and callers that do not retain them (MS-BASIC, MS-OFF, MS-LRU)
+// reset or trim the HV view set afterwards.
+func (s *System) runMultistore(ctx context.Context, e history.Entry, d optimizer.Design, retain func(seq int, cut *logical.Node, t *storage.Table)) (*QueryReport, error) {
 	mp, err := s.opt.Choose(e.Plan, d)
 	if err != nil {
 		return nil, err
 	}
 	rep := &QueryReport{Seq: e.Seq, SQL: e.SQL}
 	if mp.HVOnly {
-		res, err := s.hv.ExecuteContext(ctx, mp.HVPlan, e.Seq)
-		if err != nil {
-			if isAbortErr(err) {
-				return nil, s.abandon(err, rep, e.Seq)
-			}
-			return nil, fmt.Errorf("multistore: query %d in HV: %w", e.Seq, err)
-		}
-		rep.HVSeconds = res.Seconds
-		rep.RecoverySeconds = res.RecoverySeconds
-		rep.Retries = res.Retries
-		rep.HVOps = countOps(mp.HVPlan)
-		rep.HVOnly = true
-		rep.NewViews = len(res.NewViews)
-		rep.ResultRows = res.Table.NumRows()
-		rep.Result = res.Table
-		rep.UsedViews = s.markUsedViews(mp.HVPlan, e.Seq)
-		s.metrics.HVExe += res.Seconds
-		s.addRecovery(res.RecoverySeconds, res.Retries)
-		return rep, nil
+		return s.runInHV(ctx, e, mp.HVPlan, rep)
 	}
 
 	bypassed := true
@@ -233,6 +212,9 @@ func (s *System) runMultistore(ctx context.Context, e history.Entry, d optimizer
 			Kind: durability.KindTransferCommit, Name: cut.TempName, Seq: int64(e.Seq),
 		}); err != nil {
 			return nil, err
+		}
+		if retain != nil {
+			retain(e.Seq, cut.Node, res.Table)
 		}
 	}
 	rep.BypassedHV = bypassed
@@ -352,170 +334,44 @@ func (s *System) addRecovery(sec float64, retries int) {
 	s.metrics.Retries += retries
 }
 
-// runMSLru is the passive tuner of the paper's Figure 7: only the working
-// sets transferred between the stores during query execution are retained,
-// as DW-resident views under an LRU policy — an access-based cache with no
-// benefit or interaction analysis. HV by-products are not retained (that
-// would be HV-OP's mechanism, not passive transfer caching).
+// runMSLru is the passive tuner of the paper's Figure 7: it runs the same
+// split plans as MS-MISO, but only the working sets transferred between
+// the stores during query execution are retained, as DW-resident views
+// under an LRU policy — an access-based cache with no benefit or
+// interaction analysis. HV by-products are not retained (that would be
+// HV-OP's mechanism, not passive transfer caching).
 func (s *System) runMSLru(ctx context.Context, e history.Entry) (*QueryReport, error) {
-	mp, err := s.opt.Choose(e.Plan, s.design())
+	rep, err := s.runMultistore(ctx, e, s.design(), s.retainTransfer)
 	if err != nil {
 		return nil, err
 	}
-	rep := &QueryReport{Seq: e.Seq, SQL: e.SQL}
-	if mp.HVOnly {
-		res, err := s.hv.ExecuteContext(ctx, mp.HVPlan, e.Seq)
-		if err != nil {
-			if isAbortErr(err) {
-				return nil, s.abandon(err, rep, e.Seq)
-			}
-			return nil, fmt.Errorf("multistore: query %d in HV: %w", e.Seq, err)
-		}
-		rep.HVSeconds = res.Seconds
-		rep.RecoverySeconds = res.RecoverySeconds
-		rep.Retries = res.Retries
-		rep.HVOps = countOps(mp.HVPlan)
-		rep.HVOnly = true
-		rep.NewViews = len(res.NewViews)
-		rep.ResultRows = res.Table.NumRows()
-		rep.Result = res.Table
-		rep.UsedViews = s.markUsedViews(mp.HVPlan, e.Seq)
-		s.metrics.HVExe += res.Seconds
-		s.addRecovery(res.RecoverySeconds, res.Retries)
-		s.hv.Views.Reset()
-		return rep, nil
-	}
-	bypassed := true
-	for _, cut := range mp.Cuts {
-		if cut.DWView != nil {
-			continue
-		}
-		bypassed = false
-		res, err := s.hv.ExecuteContext(ctx, cut.HVPlan, e.Seq)
-		if err != nil {
-			if isAbortErr(err) {
-				return nil, s.abandon(err, rep, e.Seq)
-			}
-			return nil, fmt.Errorf("multistore: query %d in HV: %w", e.Seq, err)
-		}
-		rep.HVSeconds += res.Seconds
-		rep.RecoverySeconds += res.RecoverySeconds
-		rep.Retries += res.Retries
-		rep.HVOps += countOps(cut.HVPlan)
-		rep.NewViews += len(res.NewViews)
-		rep.UsedViews = append(rep.UsedViews, s.markUsedViews(cut.HVPlan, e.Seq)...)
-		if ctx.Err() != nil {
-			return nil, s.abandon(ctx.Err(), rep, e.Seq)
-		}
-		bytes := res.Table.LogicalBytes()
-		sum := storage.ChecksumTable(res.Table)
-		if err := s.journal(&durability.Record{
-			Kind: durability.KindTransferBegin, Name: cut.TempName,
-			Seq: int64(e.Seq), Bytes: bytes, Checksum: sum,
-		}); err != nil {
-			return nil, err
-		}
-		if failed, _ := s.inj.Check(faults.SiteCrashTransfer); failed {
-			return nil, fmt.Errorf("multistore: query %d transfer: %w", e.Seq, faults.Crash(faults.SiteCrashTransfer))
-		}
-		mv, mvErr := transfer.MoveContext(ctx, s.cfg.Transfer, bytes, transfer.KindWorkingSet, s.inj, s.retry, s.qbud)
-		rep.Retries += mv.Retries
-		if mvErr != nil {
-			rep.RecoverySeconds += mv.WastedSeconds()
-			if err := s.journal(&durability.Record{
-				Kind: durability.KindTransferAbort, Name: cut.TempName, Seq: int64(e.Seq),
-			}); err != nil {
-				return nil, err
-			}
-			rep, err := s.fallbackHV(ctx, e, rep, mvErr)
-			if err != nil {
-				return nil, err
-			}
-			views.EvictLRU(s.dw.Views, s.cfg.Tuner.Bd)
-			s.hv.Views.Reset()
-			return rep, nil
-		}
-		if failed, _ := s.inj.Check(faults.SiteViewCorrupt); failed {
-			// The staged working set failed its load-time checksum: the
-			// move is wasted, and the damaged bytes must not be retained
-			// as a cached DW view either.
-			rep.RecoverySeconds += mv.Breakdown.Total() + mv.RecoverySeconds
-			if err := s.journal(&durability.Record{
-				Kind: durability.KindTransferAbort, Name: cut.TempName, Seq: int64(e.Seq),
-			}); err != nil {
-				return nil, err
-			}
-			rep, err := s.fallbackHV(ctx, e, rep, faults.Corrupt(cut.TempName))
-			if err != nil {
-				return nil, err
-			}
-			views.EvictLRU(s.dw.Views, s.cfg.Tuner.Bd)
-			s.hv.Views.Reset()
-			return rep, nil
-		}
-		rep.RecoverySeconds += mv.RecoverySeconds
-		rep.TransferBytes += bytes
-		rep.TransferSeconds += mv.Breakdown.Total()
-		s.dw.StageTemp(cut.TempName, res.Table)
-		if err := s.journal(&durability.Record{
-			Kind: durability.KindTransferCommit, Name: cut.TempName, Seq: int64(e.Seq),
-		}); err != nil {
-			return nil, err
-		}
-
-		// Passive retention: the transferred working set becomes a DW
-		// view keyed by its base-data definition.
-		def := s.hv.ExpandViews(cut.Node)
-		if def != nil {
-			v := views.New(def, res.Table, e.Seq)
-			v.StampGenerations(func(name string) (int, bool) {
-				log, err := s.cat.Log(name)
-				if err != nil {
-					return 0, false
-				}
-				return log.Generation, true
-			})
-			// A quarantine-tombstoned name must not resurrect through
-			// passive retention any more than through capture.
-			if !s.dw.Views.Has(v.Name) && !s.tombstoned(v.Name) {
-				s.dw.Views.Add(v)
-			}
-		}
-	}
-	rep.BypassedHV = bypassed
-	if ctx.Err() != nil {
-		return nil, s.abandon(ctx.Err(), rep, e.Seq)
-	}
-	dwRes, err := s.dw.ExecuteContext(ctx, mp.DWPart)
-	if err != nil {
-		if isAbortErr(err) {
-			return nil, s.abandon(err, rep, e.Seq)
-		}
-		return nil, fmt.Errorf("multistore: query %d in DW: %w", e.Seq, err)
-	}
-	if err := s.simulateDWQuery(ctx, dwRes.Seconds, rep); err != nil {
-		rep, err := s.fallbackHV(ctx, e, rep, err)
-		if err != nil {
-			return nil, err
-		}
+	if !rep.HVOnly {
 		views.EvictLRU(s.dw.Views, s.cfg.Tuner.Bd)
-		s.hv.Views.Reset()
-		return rep, nil
 	}
-	rep.DWSeconds = dwRes.Seconds
-	rep.DWOps = countOps(mp.DWPart)
-	rep.ResultRows = dwRes.Table.NumRows()
-	rep.Result = dwRes.Table
-	rep.UsedViews = append(rep.UsedViews, s.markUsedViews(mp.DWPart, e.Seq)...)
-	s.dw.ClearTemp()
-
-	views.EvictLRU(s.dw.Views, s.cfg.Tuner.Bd)
 	s.hv.Views.Reset()
-	s.metrics.HVExe += rep.HVSeconds
-	s.metrics.Transfer += rep.TransferSeconds
-	s.metrics.DWExe += rep.DWSeconds
-	s.addRecovery(rep.RecoverySeconds, rep.Retries)
 	return rep, nil
+}
+
+// retainTransfer is MS-LRU's passive retention: a transferred working set
+// becomes a DW view keyed by its base-data definition.
+func (s *System) retainTransfer(seq int, cut *logical.Node, t *storage.Table) {
+	def := s.hv.ExpandViews(cut)
+	if def == nil {
+		return
+	}
+	v := views.New(def, t, seq)
+	v.StampGenerations(func(name string) (int, bool) {
+		log, err := s.cat.Log(name)
+		if err != nil {
+			return 0, false
+		}
+		return log.Generation, true
+	})
+	// A quarantine-tombstoned name must not resurrect through passive
+	// retention any more than through capture.
+	if !s.dw.Views.Has(v.Name) && !s.tombstoned(v.Name) {
+		s.dw.Views.Add(v)
+	}
 }
 
 // reorg runs the MISO tuner over the window and applies the view
